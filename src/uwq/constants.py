@@ -18,11 +18,6 @@ DEFAULT_L_2D = 8.0
 QUANT_N = 128
 QUANT_L = 8.0
 
-# Matrix-level checks in two dimensions use a reduced grid: dense
-# n^(2d) x n^(2d) assembly at n=32 costs ~1e9 operations, which is out of
-# desk-scale budget, while transforms (STFT etc.) stay cheap at n=32.
-QUANT_N_2D = 16
-
 # Weight-sequence machinery.
 WEIGHTS_TRUNCATION = 64
 M2_H_LATTICE_STEP = 0.1

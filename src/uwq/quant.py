@@ -7,7 +7,9 @@ Two evaluation paths feed the kernel builder.  Polynomial symbols are
 evaluated exactly at the off-grid midpoints (1-tau) x + tau y, so no
 interpolation error contaminates identity checks; sampled symbols are
 trigonometrically interpolated in the x slot, exact for band-limited data.
-All matrices are dense (desk scale: n <= 256 in d=1, small n in d=2).
+Operator matrices are dense N x N arrays over the N = n^d grid points.
+Kernel assembly costs O(N^2) per polynomial term; the Anti-Wick matrix is
+assembled by FFT convolutions with the circulant window in O(N^2 log N).
 """
 
 from __future__ import annotations
@@ -157,13 +159,13 @@ def _upsample_axis(values: np.ndarray, q: int, ax: int) -> np.ndarray:
         return values
     v = np.moveaxis(values, ax, 0)
     n = v.shape[0]
-    S = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(v, axes=0), axis=0), axes=0)
+    S = _shifted_fft(v, (0,))
     out = np.zeros((q * n,) + v.shape[1:], dtype=complex)
     lo = q * n // 2 - n // 2
     out[lo : lo + n] = S
     out[lo] = 0.5 * S[0]
     out[lo + n] = 0.5 * S[0]
-    res = q * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(out, axes=0), axis=0), axes=0)
+    res = q * _shifted_ifft(out, (0,))
     return np.moveaxis(res, 0, ax)
 
 
@@ -347,31 +349,46 @@ def anti_wick_direct(a: PhaseFunctionGrid, u: FunctionGrid) -> FunctionGrid:
 
 
 def anti_wick_matrix(a, axis: AxisGrid = None) -> OperatorMatrix:
-    """Dense matrix of the Anti-Wick operator.
+    """Dense matrix of the Anti-Wick operator, assembled by circular
+    convolutions in the window centre.
 
-    Assembled from the window-pair form
-        M[t, s] = ds^d dy^d sum_y G0(t-y) G0(s-y) *
-                  (2 pi)^{-d} dxi^d sum_xi a(y, xi) e^{i (t-s) xi},
-    an exact reorganization of the STFT sandwich (agrees with
-    ``anti_wick_direct`` to rounding).
+    The STFT sandwich reorganizes exactly into the window-pair form
+        M[t, s] = ds^d dy^d sum_y G0(t-y) G0(s-y) C(y, t-s),
+        C(y, r) = (2 pi)^{-d} dxi^d sum_xi a(y, xi) e^{i r xi}.
+    The periodized window is circulant, so for each difference class
+    k = t - s (mod n per axis)
+        M[t, t-k] = dx^{2d} sum_y h_k(t-y) C(y, k),  h_k(z) = G0(z) G0(z-k),
+    a circular convolution in y.  One batched FFT over the y axes handles
+    every class at once: O(N^2 log N) for N = n^d grid points.  Agrees with
+    ``anti_wick_direct`` to rounding.
     """
     if isinstance(a, PolySymbol):
         if axis is None:
             raise UwqError("polynomial path needs an explicit axis")
         a = sample_symbol(a, axis)
     axis = a.xaxis
-    d, N = axis.d, axis.size
-    W = window_translates(axis)  # [y, t]
-    xi_axes = tuple(range(d, 2 * d))
-    C = (_shifted_ifft(a.values, xi_axes) / axis.dx**d).reshape(N, N)  # [y, r]
-    diffs = _diff_indices(axis)
-    strides = [axis.n**k for k in range(axis.d - 1, -1, -1)]
-    RIDX = sum(diffs[i] * strides[i] for i in range(d))
-    M = np.zeros((N, N), dtype=complex)
-    for y in range(N):
-        M += np.multiply.outer(W[y], W[y]) * C[y, RIDX]
-    M *= (axis.dx**d) ** 2
-    return OperatorMatrix(axis, M)
+    d, n = axis.d, axis.n
+    y_axes = tuple(range(d))
+    k_axes = tuple(range(d, 2 * d))
+    # G0 at circular offset z; the window is a tensor product over axes
+    g = window_translates(AxisGrid(n, axis.L, 1))[0]
+    z = np.arange(n)
+    # per axis h[z, k] = dx G0(z) G0(z-k): the dx^{2d} quadrature weight
+    # times the 1/dx^d of C leaves one dx per axis
+    hf = np.fft.fft(axis.dx * g[:, None] * g[(z[:, None] - z[None, :]) % n], axis=0)
+    # C(y, k) with the difference axes in offset order k = 0, 1, ..., n-1
+    C = np.fft.ifftn(np.fft.ifftshift(a.values, axes=k_axes), axes=k_axes)
+    C = np.fft.fftn(C, axes=y_axes)
+    for i in range(d):
+        shape = [1] * (2 * d)
+        shape[i] = shape[d + i] = n
+        C *= hf.reshape(shape)
+    R = np.fft.ifftn(C, axes=y_axes)  # R[t, k] = M[t, t-k]
+    # gather M[t, s] = R[t, (t-s) mod n] with open index vectors per axis
+    open_idx = np.ix_(*([z] * (2 * d)))
+    t, s = open_idx[:d], open_idx[d:]
+    M = R[t + tuple((ti - si) % n for ti, si in zip(t, s))]
+    return OperatorMatrix(axis, M.reshape(axis.size, axis.size))
 
 
 def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:

@@ -14,7 +14,15 @@ import math
 
 import numpy as np
 
-from .grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, l2_norm, phase_l2_norm
+from .grid import (
+    AxisGrid,
+    FunctionGrid,
+    PhaseFunctionGrid,
+    _shifted_fft,
+    _shifted_ifft,
+    l2_norm,
+    phase_l2_norm,
+)
 
 __all__ = ["window_translates", "stft", "stft_adjoint", "stft_norm_check"]
 
@@ -43,9 +51,7 @@ def stft(u: FunctionGrid) -> PhaseFunctionGrid:
     W = window_translates(axis)  # (N, N) rows y
     windowed = W.reshape((axis.size,) + axis.shape) * u.values[None, ...]
     axes = tuple(range(1, d + 1))
-    spec = np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(windowed, axes=axes), axes=axes), axes=axes
-    )
+    spec = _shifted_fft(windowed, axes)
     vals = (axis.dx**d) * spec
     return PhaseFunctionGrid(axis, vals.reshape(axis.shape * 2))
 
@@ -59,9 +65,7 @@ def stft_adjoint(F: PhaseFunctionGrid) -> FunctionGrid:
     W = window_translates(axis)
     rows = F.values.reshape((N,) + axis.shape)
     axes = tuple(range(1, d + 1))
-    back = np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(rows, axes=axes), axes=axes), axes=axes
-    ) / (axis.dx**d)
+    back = _shifted_ifft(rows, axes) / (axis.dx**d)
     # (2 pi)^{-d} is part of inverse_fourier; dy^d (2 pi)^d remain
     out = (axis.dx**d) * np.einsum("yt,yt->t", W, back.reshape(N, N))
     out = (2.0 * math.pi) ** d * out

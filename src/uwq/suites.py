@@ -44,7 +44,14 @@ from .gaussconv import (
     oscillatory_kernel,
     smooth_cutoff,
 )
-from .grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, l2_norm
+from .grid import (
+    AxisGrid,
+    FunctionGrid,
+    PhaseFunctionGrid,
+    _shifted_ifft,
+    gaussian_window,
+    l2_norm,
+)
 from .quant import (
     anti_wick_matrix,
     apply_operator,
@@ -120,7 +127,7 @@ def _band_limited(axis: AxisGrid, rng, half_width: int = 20) -> FunctionGrid:
     spec = np.zeros(n, dtype=complex)
     lo, hi = n // 2 - half_width, n // 2 + half_width
     spec[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spec))) * n
+    vals = _shifted_ifft(spec, (0,)) * n
     return FunctionGrid(axis, vals / np.max(np.abs(vals)))
 
 
@@ -146,7 +153,7 @@ def _band_limited_symbol(axis: AxisGrid, rng, half_width: int = 12) -> PhaseFunc
     spec = np.zeros((n, n), dtype=complex)
     lo, hi = n // 2 - half_width, n // 2 + half_width
     spec[lo:hi, lo:hi] = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
-    vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spec))).real * n * n
+    vals = _shifted_ifft(spec, (0, 1)).real * n * n
     vals = vals / np.max(np.abs(vals))
     return PhaseFunctionGrid(axis, vals.astype(complex))
 
@@ -476,6 +483,11 @@ SUITE_ORDER = ["stft", "quant245", "expansion", "tau", "compose", "gaussconv", "
 def run_suite(name: str, params: Optional[SuiteParams] = None,
               parallel: bool = False) -> List[Report]:
     params = params or SuiteParams()
+    if params.d != 1:
+        raise UwqError(
+            f"verify criteria run in d=1 only, got d={params.d}; two dimensions "
+            f"are covered by the 2-d spot checks inside stft_inversion "
+            f"(n={constants.DEFAULT_N_2D}) and oscillatory_kernel (n=256)")
     if name == "all":
         fns = [fn for key in SUITE_ORDER for fn in SUITES[key]]
     elif name in SUITES:

@@ -28,6 +28,7 @@ from uwq.quant import (
     verify_smoothing_identity,
     weyl,
 )
+from uwq.stft import window_translates
 
 X = PolySymbol.x()
 XI = PolySymbol.xi()
@@ -68,6 +69,34 @@ def localized_symbol(axis, seed, xw=3.0, kw=6.0):
         kk = rng.integers(-8, 9) * 2.0 * axis.L / axis.n
         mod += rng.standard_normal() * np.cos(np.add.outer(kx * pts, kk * dual))
     return PhaseFunctionGrid(axis, env * (1.0 + 0.3 * mod))
+
+
+def window_pair_sum(a):
+    """Reference Anti-Wick matrix: the window-pair form
+        M[t, s] = dx^{2d} sum_y W[y, t] W[y, s] C[y, t-s]
+    summed one window centre y at a time, O(N^3)."""
+    axis = a.xaxis
+    d, n, N = axis.d, axis.n, axis.size
+    W = window_translates(axis)
+    xi_axes = tuple(range(d, 2 * d))
+    C = np.fft.fftshift(
+        np.fft.ifftn(np.fft.ifftshift(a.values, axes=xi_axes), axes=xi_axes), axes=xi_axes
+    ).reshape(N, N) / axis.dx**d
+    J = np.indices(axis.shape).reshape(d, N)
+    R = np.zeros((N, N), dtype=int)
+    for i in range(d):
+        R = R * n + (J[i][:, None] - J[i][None, :] + n // 2) % n
+    M = np.zeros((N, N), dtype=complex)
+    for y in range(N):
+        M += np.multiply.outer(W[y], W[y]) * C[y, R]
+    return M * axis.dx ** (2 * d)
+
+
+def random_symbol(axis, seed):
+    """Complex, non-Hermitian, neither smooth nor decaying."""
+    rng = np.random.default_rng(seed)
+    shape = axis.shape * 2
+    return PhaseFunctionGrid(axis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 class TestKernel:
@@ -289,6 +318,14 @@ class TestAntiWick:
                 1.0, np.max(np.abs(v2.values))
             )
 
+    @pytest.mark.parametrize("n, L, d", [(32, 3.0, 1), (8, 3.0, 2)])
+    def test_matrix_matches_window_pair_sum(self, n, L, d):
+        # the small box lets the window wrap around the seam
+        a = random_symbol(AxisGrid(n, L, d), 23)
+        M = anti_wick_matrix(a).entries
+        ref = window_pair_sum(a)
+        assert np.max(np.abs(M - ref)) < 1e-12 * np.max(np.abs(ref))
+
     def test_norm_bound(self, axis):
         a = localized_symbol(axis, 18)
         sup = float(np.max(np.abs(a.values)))
@@ -403,6 +440,16 @@ class TestTwoDimensions:
         sym = PolySymbol.xi(0, 2) * PolySymbol.xi(0, 2)
         rep = verify_smoothing_identity(sym, ax2)
         assert rep["max_err"] < 1e-5
+
+    def test_anti_wick_matrix_agrees_with_direct_2d(self, ax2):
+        a = random_symbol(ax2, 29)
+        M = anti_wick_matrix(a)
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            u = FunctionGrid(ax2, rng.standard_normal(ax2.shape) + 1j * rng.standard_normal(ax2.shape))
+            v1 = apply_operator(M, u).values
+            v2 = anti_wick_direct(a, u).values
+            assert np.max(np.abs(v1 - v2)) < 1e-11 * np.max(np.abs(v2))
 
     def test_round_trip_2d(self):
         # coarse two-dimensional grids cannot keep spectra simultaneously
