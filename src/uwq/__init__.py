@@ -35,7 +35,6 @@ from .expansion import (
 )
 from .gaussconv import (
     CompactDensity,
-    LaplacePoint,
     SeparableSymbol,
     bstar_diagnostic,
     conv_gauss_direct,
@@ -65,7 +64,6 @@ from .grid import (
 from .quant import (
     KernelMatrix,
     OperatorMatrix,
-    Tau,
     anti_wick_direct,
     anti_wick_matrix,
     apply_operator,
@@ -80,7 +78,7 @@ from .quant import (
     weyl,
 )
 from .stft import stft, stft_adjoint, stft_norm_check
-from .suites import Report, SuiteParams, run_all, run_suite
+from .suites import Report, SuiteParams, run_suite
 from .weights import (
     AssocResult,
     SubordinateSequence,

@@ -2,9 +2,12 @@
 driver for the full identity suite.
 
 Symbol and density specs are tiny config files in a minimal key/value
-syntax (a strict TOML subset, grammar in the README) or JSON; parsing is
-deliberately hand-rolled and auditable, with schema violations enumerated
-rather than defaulted.
+syntax (a strict TOML subset whose grammar is the docstring of
+``parse_config``) or JSON; parsing is deliberately hand-rolled and
+auditable, with schema violations enumerated rather than defaulted.
+
+Each subcommand declares only the options it reads.  An option that applies
+on one path only is rejected with ``UwqError`` (exit status 2) on the other.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .gaussconv import (
     conv_gauss_via_laplace,
     laplace,
     oscillatory_kernel,
-    smoothed_gaussian_poly,
 )
 from .grid import (
     AxisGrid,
@@ -49,15 +51,13 @@ from .quant import (
     anti_wick_matrix,
     kernel_from_symbol,
     operator_matrix,
-    sample_symbol,
     verify_smoothing_identity,
 )
 from .stft import stft, stft_adjoint
 from .suites import Report, SuiteParams, run_suite, report_header
 from .weights import WeightSequence, assoc_fn, check_conditions, load_weights
 
-__all__ = ["SymbolSpec", "parse_config", "load_symbol", "emit_symbol",
-           "emit_report", "run_verify", "main"]
+__all__ = ["SymbolSpec", "parse_config", "load_symbol", "emit_report", "build_parser", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -237,63 +237,46 @@ def load_symbol(path) -> SymbolSpec:
     return _spec_from_dict(data)
 
 
-def emit_symbol(spec: SymbolSpec) -> bytes:
-    """Canonical key/value encoding; load(emit(spec)) round-trips."""
-    lines = [f'kind = "{spec.kind}"']
-    if spec.kind == "grid":
-        lines.append(f'path = "{spec.path}"')
-    else:
-        lines.append(f"d = {spec.d}")
-        if spec.kind == "example5":
-            lines.append(f"l = {spec.l:.17g}")
-        rows = []
-        for row in spec.terms:
-            cells = [f"{int(v)}" for v in row[:-2]] + [f"{v:.17g}" for v in row[-2:]]
-            rows.append("[" + ", ".join(cells) + "]")
-        lines.append("terms = [" + ", ".join(rows) + "]")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def emit_report(reports: List[Report], fmt: str = "json", header: Optional[dict] = None) -> bytes:
-    if fmt == "json":
-        doc = {
-            "header": header or {},
-            "reports": [
-                {"name": r.name, "status": r.status, "measured": r.measured,
-                 "tolerance": r.tolerance, "runtime_ms": r.runtime_ms,
-                 "detail": r.detail}
-                for r in reports
-            ],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    if fmt == "csv":
-        lines = ["name,status,measured,tolerance,runtime_ms"]
-        for r in reports:
-            lines.append(f"{r.name},{r.status},{r.measured:.6e},{r.tolerance:.6e},{r.runtime_ms:.1f}")
-        return ("\n".join(lines) + "\n").encode()
-    raise UwqError(f"unknown report format {fmt!r}")
-
-
-def run_verify(suite: str, params: Optional[SuiteParams] = None,
-               parallel: bool = False) -> List[Report]:
-    return run_suite(suite, params, parallel=parallel)
+def emit_report(reports: List[Report], header: dict) -> bytes:
+    """The ``verify --json`` document: the run header and one record per
+    criterion."""
+    doc = {
+        "header": header,
+        "reports": [
+            {"name": r.name, "status": r.status, "measured": r.measured,
+             "tolerance": r.tolerance, "runtime_ms": r.runtime_ms,
+             "detail": r.detail}
+            for r in reports
+        ],
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _axis_from_args(args, d=None) -> AxisGrid:
-    d = d if d is not None else args.d
-    n = args.n if args.n else (constants.DEFAULT_N_1D if d == 1 else constants.DEFAULT_N_2D)
-    L = args.L if args.L else (constants.DEFAULT_L_1D if d == 1 else constants.DEFAULT_L_2D)
-    return AxisGrid(n, L, d)
+def _poly_of(spec: SymbolSpec) -> PolySymbol:
+    """The polynomial of a spec; example5 carries an exp(l|x|^2) factor that
+    only osc-kernel reads, so it is rejected rather than dropped."""
+    if spec.kind == "example5":
+        raise UwqError("an example5 symbol is not polynomial; only osc-kernel reads it")
+    return spec.poly()
 
 
-def _symbol_grid(spec: SymbolSpec, axis: AxisGrid):
+def _operator_symbol(args):
+    """Symbol and grid of ``quantize``/``antiwick``.  A polynomial symbol is
+    laid on the grid of --n/--L (defaults by its dimension); a sampled grid
+    symbol carries its own grid, so --n/--L are rejected there."""
+    spec = load_symbol(args.symbol)
     if spec.kind == "grid":
-        return load_phase(spec.path)
-    return sample_symbol(spec.poly(), axis)
+        if args.n is not None or args.L is not None:
+            raise UwqError("--n/--L do not apply to a grid symbol; its file fixes the grid")
+        return load_phase(spec.path), None
+    d = spec.d
+    n = args.n if args.n is not None else (constants.DEFAULT_N_1D if d == 1 else constants.DEFAULT_N_2D)
+    L = args.L if args.L is not None else (constants.DEFAULT_L_1D if d == 1 else constants.DEFAULT_L_2D)
+    return _poly_of(spec), AxisGrid(n, L, d)
 
 
 def _write_out(data: bytes, out: Optional[str]):
@@ -305,12 +288,15 @@ def _write_out(data: bytes, out: Optional[str]):
 
 
 def _cmd_weights(args) -> int:
-    if args.weights_file:
+    if (args.gevrey is None) == (args.weights_file is None):
+        raise UwqError("give exactly one of --gevrey S or --weights-file PATH")
+    if args.weights_file is not None:
+        if args.truncation is not None:
+            raise UwqError("--truncation applies to --gevrey only; a weight file fixes its own length")
         w = load_weights(args.weights_file)
-    elif args.gevrey is not None:
-        w = WeightSequence.gevrey(args.gevrey, truncation=args.truncation)
     else:
-        raise UwqError("give --gevrey S or --weights-file PATH")
+        trunc = constants.WEIGHTS_TRUNCATION if args.truncation is None else args.truncation
+        w = WeightSequence.gevrey(args.gevrey, truncation=trunc)
     lines = []
     if args.check:
         rep = check_conditions(w)
@@ -352,30 +338,21 @@ def _save_operator(M, path):
 
 
 def _cmd_quantize(args) -> int:
-    spec = load_symbol(args.symbol)
-    axis = _axis_from_args(args, d=spec.d if spec.kind != "grid" else None)
-    if spec.kind == "grid":
-        a = load_phase(spec.path)
-        M = operator_matrix(kernel_from_symbol(a, args.tau))
-    else:
-        M = operator_matrix(kernel_from_symbol(spec.poly(), args.tau, axis))
-    if not args.out:
-        raise UwqError("--out is required for operator output")
-    _save_operator(M, args.out)
+    a, axis = _operator_symbol(args)
+    _save_operator(operator_matrix(kernel_from_symbol(a, args.tau, axis)), args.out)
     return 0
 
 
 def _cmd_antiwick(args) -> int:
-    spec = load_symbol(args.symbol)
-    axis = _axis_from_args(args, d=spec.d if spec.kind != "grid" else None)
-    a = _symbol_grid(spec, axis)
-    if args.verify_smoothing:
-        rep = verify_smoothing_identity(a)
-        sys.stdout.write(f"max_err {rep['max_err']:.6e} (full matrix {rep['max_err_full']:.6e})\n")
-        return 0
-    if not args.out:
+    if not (args.verify_smoothing or args.out):
         raise UwqError("--out is required for operator output")
-    _save_operator(anti_wick_matrix(a), args.out)
+    a, axis = _operator_symbol(args)
+    if args.verify_smoothing:
+        rep = verify_smoothing_identity(a, axis)
+        _write_out(f"max_err {rep['max_err']:.6e} (full matrix {rep['max_err_full']:.6e})\n".encode(),
+                   args.out)
+        return 0
+    _save_operator(anti_wick_matrix(a, axis), args.out)
     return 0
 
 
@@ -392,9 +369,10 @@ def _print_poly_table(polys, out):
 
 
 def _cmd_expand(args) -> int:
-    spec = load_symbol(args.symbol)
-    a = spec.poly()
+    a = _poly_of(load_symbol(args.symbol))
     theorem = args.theorem
+    if args.max_order is not None and theorem not in ("aw", "inverse"):
+        raise UwqError("--max-order applies to the aw and inverse theorems only")
     if theorem == "aw":
         e = aw_to_weyl_terms(a, args.max_order)
         _print_poly_table(e.terms, args.out)
@@ -408,7 +386,7 @@ def _cmd_expand(args) -> int:
         _, t = theorem.split(":")
         _print_poly_table([transpose_terms(a, float(t))], args.out)
     elif theorem.startswith("compose:"):
-        other = load_symbol(theorem.split(":", 1)[1]).poly()
+        other = _poly_of(load_symbol(theorem.split(":", 1)[1]))
         _print_poly_table([compose_terms(a, other)], args.out)
     else:
         raise UwqError("theorem must be aw, inverse, tau:T1:T, transpose:T, or compose:PATH")
@@ -448,7 +426,7 @@ def _cmd_laplace(args) -> int:
     S = _parse_density(args.density)
     re, im = (float(v) for v in args.zeta.split(":"))
     val = laplace(S, complex(re, im))
-    sys.stdout.write(f"{val.real:.17g}{val.imag:+.17g}j\n")
+    _write_out(f"{val.real:.17g}{val.imag:+.17g}j\n".encode(), args.out)
     return 0
 
 
@@ -483,15 +461,11 @@ def _cmd_osc_kernel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = SuiteParams(
-        n=args.n or constants.DEFAULT_N_1D,
-        L=args.L or constants.DEFAULT_L_1D,
-        d=args.d,
-    )
-    reports = run_verify(args.suite, params, parallel=args.parallel)
+    params = SuiteParams(n=args.n, L=args.L, d=args.d)
+    reports = run_suite(args.suite, params)
     header = report_header(params)
     if args.json:
-        _write_out(emit_report(reports, "json", header), args.out)
+        _write_out(emit_report(reports, header), args.out)
     else:
         lines = [f"# {k}={v}" for k, v in header.items()]
         lines.append(f"{'criterion':34s} {'status':6s} {'measured':>12s} {'tolerance':>12s} {'ms':>8s}")
@@ -502,73 +476,90 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="grid points per axis")
-    common.add_argument("--L", type=float, default=None, help="box half-width")
-    common.add_argument("--d", type=int, default=1, help="dimension (1 or 2)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
+_STDOUT = "output file (default stdout)"
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``uwq`` parser: each subcommand declares only the options it
+    reads."""
     ap = argparse.ArgumentParser(prog="uwq",
                                  description="quantization toolkit on discretized phase space")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("weights", parents=[common], help="weight-sequence table and checks")
+    def command(name, fn, help):
+        # no prefix matching, so an option a subcommand lacks (--d) cannot
+        # stand in for one it has (--deltas, --density)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("weights", _cmd_weights, "weight-sequence table and checks")
     p.add_argument("--gevrey", type=float, default=None)
     p.add_argument("--weights-file", default=None)
-    p.add_argument("--truncation", type=int, default=constants.WEIGHTS_TRUNCATION)
+    p.add_argument("--truncation", type=int, default=None,
+                   help=f"Gevrey prefix length (default {constants.WEIGHTS_TRUNCATION})")
     p.add_argument("--check", action="store_true")
     p.add_argument("--rho", default="")
-    p.set_defaults(fn=_cmd_weights)
+    p.add_argument("--out", default=None, help=_STDOUT)
 
-    p = sub.add_parser("stft", parents=[common], help="short-time Fourier transform")
+    p = command("stft", _cmd_stft, "short-time Fourier transform")
     p.add_argument("--in", required=True)
     p.add_argument("--inverse", action="store_true")
-    p.set_defaults(fn=_cmd_stft)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("quantize", parents=[common], help="tau-quantization operator matrix")
+    p = command("quantize", _cmd_quantize, "tau-quantization operator matrix")
     p.add_argument("--symbol", required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.set_defaults(fn=_cmd_quantize)
+    p.add_argument("--n", type=int, default=None, help="grid points per axis (polynomial symbols)")
+    p.add_argument("--L", type=float, default=None, help="box half-width (polynomial symbols)")
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("antiwick", parents=[common], help="Anti-Wick operator matrix")
+    p = command("antiwick", _cmd_antiwick, "Anti-Wick operator matrix")
     p.add_argument("--symbol", required=True)
     p.add_argument("--verify-smoothing", action="store_true",
                    help="report the discrepancy against the smoothed Weyl matrix")
-    p.set_defaults(fn=_cmd_antiwick)
+    p.add_argument("--n", type=int, default=None, help="grid points per axis (polynomial symbols)")
+    p.add_argument("--L", type=float, default=None, help="box half-width (polynomial symbols)")
+    p.add_argument("--out", default=None,
+                   help="output file (required unless --verify-smoothing)")
 
-    p = sub.add_parser("expand", parents=[common], help="symbol expansion tables")
+    p = command("expand", _cmd_expand, "symbol expansion tables")
     p.add_argument("--symbol", required=True)
     p.add_argument("--theorem", required=True,
                    help="aw | inverse | tau:T1:T | transpose:T | compose:PATH")
-    p.add_argument("--max-order", type=int, default=None)
-    p.set_defaults(fn=_cmd_expand)
+    p.add_argument("--max-order", type=int, default=None, help="aw and inverse only")
+    p.add_argument("--out", default=None, help=_STDOUT)
 
-    p = sub.add_parser("gaussconv", parents=[common], help="Gaussian convolution identity")
+    p = command("gaussconv", _cmd_gaussconv, "Gaussian convolution identity")
     p.add_argument("--density", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", required=True, help="a:b:step evaluation grid")
     p.add_argument("--compare", action="store_true")
-    p.set_defaults(fn=_cmd_gaussconv)
+    p.add_argument("--out", default=None, help=_STDOUT)
 
-    p = sub.add_parser("laplace", parents=[common], help="Laplace transform of a density")
+    p = command("laplace", _cmd_laplace, "Laplace transform of a density")
     p.add_argument("--density", required=True)
     p.add_argument("--zeta", required=True, help="re:im")
-    p.set_defaults(fn=_cmd_laplace)
+    p.add_argument("--out", default=None, help=_STDOUT)
 
-    p = sub.add_parser("osc-kernel", parents=[common], help="regularized kernel pairing")
+    p = command("osc-kernel", _cmd_osc_kernel, "regularized kernel pairing")
     p.add_argument("--symbol", required=True)
     p.add_argument("--chi", required=True)
     p.add_argument("--deltas", required=True)
-    p.set_defaults(fn=_cmd_osc_kernel)
+    p.add_argument("--out", default=None, help=_STDOUT)
 
-    p = sub.add_parser("verify", parents=[common], help="run identity suites")
+    p = command("verify", _cmd_verify, "run identity suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--parallel", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
+    p.add_argument("--n", type=int, default=constants.DEFAULT_N_1D, help="grid points per axis")
+    p.add_argument("--L", type=float, default=constants.DEFAULT_L_1D, help="box half-width")
+    p.add_argument("--d", type=int, default=1, help="dimension (only 1 runs)")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--out", default=None, help=_STDOUT)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except UwqError as exc:

@@ -194,25 +194,11 @@ class PolySymbol:
 
         return sorted(self.terms.items(), key=key)
 
-    def cleanup(self, tol: float = 0.0) -> "PolySymbol":
-        """Drop coefficients at or below ``tol`` relative to the largest."""
-        if not self.terms:
-            return self
-        scale = max(abs(c) for c in self.terms.values())
-        return PolySymbol(
-            self.d, {k: c for k, c in self.terms.items() if abs(c) > tol * scale}
-        )
-
     def reflect_xi(self) -> "PolySymbol":
         """Substitute xi -> -xi."""
         return PolySymbol(
             self.d,
             {(xe, ke): c * (-1.0) ** sum(ke) for (xe, ke), c in self.terms.items()},
-        )
-
-    def conjugate(self) -> "PolySymbol":
-        return PolySymbol(
-            self.d, {k: complex(c).conjugate() for k, c in self.terms.items()}
         )
 
     # -- evaluation --------------------------------------------------------
@@ -424,12 +410,22 @@ def inverse_aw_recursion(b: PolySymbol, J: Optional[int] = None) -> InverseAwRes
     return InverseAwResult(primed=primed, bj=bj, a=a)
 
 
-def tau_change_terms(a: PolySymbol, tau1, tau) -> PolySymbol:
+def _finite_tau(tau: float) -> float:
+    """The ordering parameter tau of Op_tau as a float (Weyl 1/2,
+    Kohn-Nirenberg 0); every quantization entry point reads tau through
+    here, so a non-finite value is rejected instead of spreading NaN."""
+    tv = float(tau)
+    if not math.isfinite(tv):
+        raise UwqError(f"tau must be finite, got {tau!r}")
+    return tv
+
+
+def tau_change_terms(a: PolySymbol, tau1: float, tau: float) -> PolySymbol:
     """Symbol b with Op_tau(b) = Op_tau1(a) for polynomial symbols:
     b = sum_beta (tau1 - tau)^{|beta|} / beta! * d_xi^beta D_x^beta a,
     a finite sum.  Sign convention (D = -i d/dx) is pinned by the kernel
     round-trip oracle in the quant tests."""
-    t = float(getattr(tau1, "value", tau1)) - float(getattr(tau, "value", tau))
+    t = _finite_tau(tau1) - _finite_tau(tau)
     d = a.d
     out = PolySymbol.zero(d)
     max_order = min(a.x_degree(), a.xi_degree())
@@ -443,10 +439,10 @@ def tau_change_terms(a: PolySymbol, tau1, tau) -> PolySymbol:
     return out
 
 
-def transpose_terms(a: PolySymbol, tau) -> PolySymbol:
+def transpose_terms(a: PolySymbol, tau: float) -> PolySymbol:
     """Symbol of the plain transpose: apply (-d_xi)^alpha D_x^alpha to a,
     weight by (1-2 tau)^{|alpha|}/alpha!, sum, then substitute xi -> -xi."""
-    tv = float(getattr(tau, "value", tau))
+    tv = _finite_tau(tau)
     d = a.d
     out = PolySymbol.zero(d)
     max_order = min(a.x_degree(), a.xi_degree())

@@ -22,7 +22,6 @@ from .grid import FunctionGrid
 
 __all__ = [
     "CompactDensity",
-    "LaplacePoint",
     "laplace",
     "conv_gauss_via_laplace",
     "conv_gauss_direct",
@@ -124,32 +123,15 @@ class CompactDensity:
         return complex(np.sum(self.weights * self.values))
 
 
-@dataclass(frozen=True)
-class LaplacePoint:
-    """A point zeta = xi + i eta in C^d."""
-
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.zeta, dtype=complex))
-        if not np.all(np.isfinite(z)):
-            raise UwqError("Laplace point must be finite")
-        object.__setattr__(self, "zeta", z)
-
-
-def _as_zeta(zeta) -> np.ndarray:
-    if isinstance(zeta, LaplacePoint):
-        return zeta.zeta
-    return np.atleast_1d(np.asarray(zeta, dtype=complex))
-
-
 def laplace(S: CompactDensity, zeta) -> complex:
     """L(S)(zeta) = integral e^{-zeta . y} S(y) dy over the support box;
     entire in zeta because the support is compact.  Overflowing exponents
     raise instead of clamping."""
-    z = _as_zeta(zeta)
+    z = np.atleast_1d(np.asarray(zeta, dtype=complex))
     if z.size != S.d:
         raise UwqError("zeta dimension mismatch")
+    if not np.all(np.isfinite(z)):
+        raise UwqError("Laplace point must be finite")
     expo = -S.nodes @ z
     if np.max(expo.real) > _EXP_LIMIT:
         raise OverflowDomainError("e^{-zeta.y} overflows on the support box")

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OverflowDomainError, UwqError
-from .expansion import PolySymbol
+from .expansion import PolySymbol, _finite_tau
 from .grid import (
     AxisGrid,
     FunctionGrid,
@@ -32,7 +32,6 @@ from .grid import (
 from .stft import stft, stft_adjoint, window_translates
 
 __all__ = [
-    "Tau",
     "KernelMatrix",
     "OperatorMatrix",
     "sample_symbol",
@@ -50,33 +49,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tau:
-    """Quantization-ordering parameter; 0 and 1/2 are the named cases."""
-
-    value: float = 0.5
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise UwqError("tau must be finite")
-
-    @classmethod
-    def weyl(cls) -> "Tau":
-        return cls(0.5)
-
-    @classmethod
-    def kohn_nirenberg(cls) -> "Tau":
-        return cls(0.0)
-
-
-def _tau_value(tau) -> float:
-    return float(getattr(tau, "value", tau))
-
-
-def _tau_fraction(tau) -> tuple:
+def _tau_fraction(tv: float) -> tuple:
     """tau as p/q with a small denominator; required by the interpolating
     paths so midpoints land on a refined lattice."""
-    tv = _tau_value(tau)
     frac = Fraction(tv).limit_denominator(64)
     if abs(float(frac) - tv) > 1e-12:
         raise UwqError("tau must be rational with denominator <= 64 on grid paths")
@@ -85,12 +60,11 @@ def _tau_fraction(tau) -> tuple:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """K(x_row, y_col) sampled on the grid; ``weighted`` records whether the
-    dy^d quadrature weight has been folded into the columns."""
+    """K(x_row, y_col) sampled on the grid, without the dy^d quadrature
+    weight; ``operator_matrix`` folds it in."""
 
     axis: AxisGrid
     entries: np.ndarray
-    weighted: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -169,14 +143,14 @@ def _upsample_axis(values: np.ndarray, q: int, ax: int) -> np.ndarray:
     return np.moveaxis(res, 0, ax)
 
 
-def kernel_from_symbol(a, tau, axis: AxisGrid = None) -> KernelMatrix:
+def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
     """K(x, y) = (2 pi)^{-d} dxi^d sum_xi e^{i (x-y) xi} a((1-tau) x + tau y, xi).
 
     Polynomial symbols are evaluated exactly at the midpoints; sampled
     symbols are upsampled in the x slot (tau must then be rational with a
     small denominator so midpoints land on the refined lattice).
     """
-    tv = _tau_value(tau)
+    tv = _finite_tau(tau)
     if isinstance(a, PolySymbol):
         if axis is None:
             raise UwqError("polynomial path needs an explicit axis")
@@ -207,7 +181,7 @@ def _kernel_from_poly(a: PolySymbol, tv: float, axis: AxisGrid) -> KernelMatrix:
                 gcache[al] = _dirichlet_1d(axis, al)
             G = G * gcache[al][diffs[i]]
         K += c * W * G
-    return KernelMatrix(axis, K, weighted=False)
+    return KernelMatrix(axis, K)
 
 
 def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
@@ -228,7 +202,7 @@ def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
         widx.append(((q - p) * jt + p * js) % (q * n))
         ridx.append((jt - js + n // 2) % n)
     K = B[tuple(widx + ridx)]
-    return KernelMatrix(axis, K, weighted=False)
+    return KernelMatrix(axis, K)
 
 
 _STENCIL = np.arange(-7, 9)  # 16-point centered Lagrange stencil
@@ -269,7 +243,7 @@ def _fractional_shift(values: np.ndarray, delta_steps: float, ax: int, n: int) -
     return np.moveaxis(out, 0, ax)
 
 
-def symbol_from_kernel(K: KernelMatrix, tau) -> PhaseFunctionGrid:
+def symbol_from_kernel(K: KernelMatrix, tau: float) -> PhaseFunctionGrid:
     """a(x, xi) = F_{t -> xi} K(x + tau t, x - (1-tau) t), the inverse of
     ``kernel_from_symbol``.
 
@@ -283,11 +257,11 @@ def symbol_from_kernel(K: KernelMatrix, tau) -> PhaseFunctionGrid:
     on the grid scale (exact for polynomial midpoint dependence up to degree
     15).
     """
-    if K.weighted:
-        raise UwqError("unfold quadrature weights before inverting a kernel")
+    if not isinstance(K, KernelMatrix):
+        raise UwqError(f"expected a KernelMatrix, got {type(K).__name__}")
     axis = K.axis
     d, n, N = axis.d, axis.n, axis.size
-    p, q = _tau_fraction(tau)
+    p, q = _tau_fraction(_finite_tau(tau))
     Kv = K.entries.reshape(axis.shape * 2)
     # B[r, w] = kernel entries with difference index r (per axis), slid so
     # that axis ``d+i`` carries the difference class and axis ``i`` slides.
@@ -317,8 +291,8 @@ def symbol_from_kernel(K: KernelMatrix, tau) -> PhaseFunctionGrid:
 
 def operator_matrix(K: KernelMatrix) -> OperatorMatrix:
     """Fold the dy^d quadrature weight into the columns."""
-    if K.weighted:
-        raise UwqError("quadrature weight already folded in")
+    if not isinstance(K, KernelMatrix):
+        raise UwqError(f"expected a KernelMatrix, got {type(K).__name__}")
     return OperatorMatrix(K.axis, K.entries * K.axis.dx**K.axis.d)
 
 

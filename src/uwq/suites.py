@@ -72,7 +72,7 @@ from .weights import (
     verify_ultrapoly_bound,
 )
 
-__all__ = ["Report", "SuiteParams", "SUITES", "run_suite", "run_all", "report_header"]
+__all__ = ["Report", "SuiteParams", "SUITES", "run_suite", "report_header"]
 
 
 @dataclass(frozen=True)
@@ -480,8 +480,7 @@ SUITES = {
 SUITE_ORDER = ["stft", "quant245", "expansion", "tau", "compose", "gaussconv", "weights"]
 
 
-def run_suite(name: str, params: Optional[SuiteParams] = None,
-              parallel: bool = False) -> List[Report]:
+def run_suite(name: str, params: Optional[SuiteParams] = None) -> List[Report]:
     params = params or SuiteParams()
     if params.d != 1:
         raise UwqError(
@@ -495,15 +494,5 @@ def run_suite(name: str, params: Optional[SuiteParams] = None,
     else:
         raise UwqError(f"unknown suite {name!r}; choose from "
                        f"{['all'] + SUITE_ORDER}")
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(lambda f: f(params), fns))
-    else:
-        reports = [fn(params) for fn in fns]
+    reports = [fn(params) for fn in fns]
     return sorted(reports, key=lambda r: r.name)
-
-
-def run_all(params: Optional[SuiteParams] = None, parallel: bool = False) -> List[Report]:
-    return run_suite("all", params, parallel)

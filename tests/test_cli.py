@@ -1,0 +1,234 @@
+import argparse
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwq.cli import build_parser, main
+from uwq.expansion import PolySymbol
+from uwq.grid import (
+    AxisGrid,
+    FunctionGrid,
+    PhaseFunctionGrid,
+    load_function,
+    load_phase,
+    save_function,
+    save_phase,
+)
+from uwq.quant import anti_wick_matrix, kernel_from_symbol, operator_matrix, weyl
+from uwq.stft import stft
+from uwq.weights import WeightSequence, save_weights
+
+# The options each subcommand declares; every one of them is read.
+OPTIONS = {
+    "weights": {"--gevrey", "--weights-file", "--truncation", "--check", "--rho", "--out"},
+    "stft": {"--in", "--inverse", "--out"},
+    "quantize": {"--symbol", "--tau", "--n", "--L", "--out"},
+    "antiwick": {"--symbol", "--verify-smoothing", "--n", "--L", "--out"},
+    "expand": {"--symbol", "--theorem", "--max-order", "--out"},
+    "gaussconv": {"--density", "--s", "--x", "--compare", "--out"},
+    "laplace": {"--density", "--zeta", "--out"},
+    "osc-kernel": {"--symbol", "--chi", "--deltas", "--out"},
+    "verify": {"--suite", "--n", "--L", "--d", "--json", "--out"},
+}
+
+# Options some subcommand used to accept without reading them.
+DROPPED = ["--n", "--L", "--d", "--json", "--out", "--parallel"]
+
+N, L = 16, 4.0
+AXIS = AxisGrid(N, L, 1)
+POLY = PolySymbol.x() * PolySymbol.xi() + PolySymbol.xi() * PolySymbol.xi()
+
+
+def run(argv):
+    """Exit status of ``uwq argv``; argparse errors exit through SystemExit."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+def read_operator(path, size):
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    out = np.zeros((size, size), dtype=complex)
+    out[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2] + 1j * data[:, 3]
+    return out
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Input files on the n=16 grid and a path helper."""
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    with open(f("p.toml"), "w", encoding="utf-8") as fh:
+        fh.write('kind = "poly"\nd = 1\nterms = [[1, 1, 1.0, 0.0], [2, 0, 1.0, 0.0]]\n')
+    a = PhaseFunctionGrid.from_callable(AxisGrid(8, L, 1),
+                                        lambda x, k: np.exp(-x**2 - 0.1 * k**2))
+    save_phase(a, f("symbol.csv"))
+    with open(f("grid.toml"), "w", encoding="utf-8") as fh:
+        fh.write(f'kind = "grid"\npath = "{f("symbol.csv")}"\n')
+    save_function(FunctionGrid.from_callable(AXIS, lambda x: np.exp(-x**2 + 1j * x)), f("u.csv"))
+    ax2 = AxisGrid(N, 2.5, 2)
+    save_function(FunctionGrid.from_callable(ax2, lambda x, y: np.exp(-4.0 * (x**2 + y**2))),
+                  f("chi.csv"))
+    save_weights(WeightSequence.gevrey(2.0), f("w.txt"))
+    with open(f("e5.toml"), "w", encoding="utf-8") as fh:
+        fh.write('kind = "example5"\nd = 1\nl = 0.5\nterms = [[2, 1.0, 0.0]]\n')
+    return f
+
+
+def valid_commands(f):
+    """One working invocation per subcommand."""
+    return {
+        "weights": ["weights", "--gevrey", 2, "--check", "--rho", "1,10", "--out", f("w.csv")],
+        "stft": ["stft", "--in", f("u.csv"), "--out", f("V.csv")],
+        "quantize": ["quantize", "--symbol", f("p.toml"), "--tau", 0.5, "--n", N, "--L", L,
+                     "--out", f("op.csv")],
+        "antiwick": ["antiwick", "--symbol", f("p.toml"), "--n", N, "--L", L,
+                     "--out", f("aw.csv")],
+        "expand": ["expand", "--symbol", f("p.toml"), "--theorem", "aw", "--out", f("e.csv")],
+        "gaussconv": ["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x=-1:1:0.5",
+                      "--compare", "--out", f("g.csv")],
+        "laplace": ["laplace", "--density", "indicator:-1:1", "--zeta", "0.5:0",
+                    "--out", f("lap.txt")],
+        "osc-kernel": ["osc-kernel", "--symbol", f("p.toml"), "--chi", f("chi.csv"),
+                       "--deltas", "0.5,0.25", "--out", f("osc.csv")],
+        "verify": ["verify", "--suite", "tau", "--json", "--out", f("v.json")],
+    }
+
+
+def parser_options():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for act in p._actions for s in act.option_strings
+                   if s not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_option_table():
+    table = parser_options()
+    assert table == OPTIONS
+    assert sum(len(v) for v in table.values()) == 41
+
+
+def test_every_subcommand_runs(files):
+    f = files
+    cmds = valid_commands(f)
+    assert set(cmds) == set(OPTIONS)
+    for name, argv in cmds.items():
+        assert run(argv) == 0, name
+
+    lines = Path(f("w.csv")).read_text().splitlines()
+    assert lines[0].startswith("# m1_ok=True") and lines[1] == "rho,M,saturated"
+    assert [float(v) for v in lines[2].split(",")][0] == 1.0
+
+    assert np.array_equal(load_phase(f("V.csv")).values,
+                          stft(load_function(f("u.csv"))).values)
+
+    assert np.array_equal(read_operator(f("op.csv"), N), weyl(POLY, AXIS).entries)
+    assert np.array_equal(read_operator(f("aw.csv"), N), anti_wick_matrix(POLY, AXIS).entries)
+
+    rows = Path(f("e.csv")).read_text().splitlines()
+    assert rows[0] == "order,monomial,re,im" and "0,x0^1xi0^1,1,0" in rows
+
+    g = np.loadtxt(f("g.csv"), delimiter=",", skiprows=1)
+    assert g.shape == (5, 4) and np.all(g[:, 3] < 1e-8)
+
+    lap = complex(Path(f("lap.txt")).read_text().strip())
+    assert abs(lap - 4.0 * math.sinh(0.5)) < 1e-12
+
+    osc = Path(f("osc.csv")).read_text().splitlines()
+    assert osc[0] == "delta,re,im,cauchy_diff" and osc[-1].startswith("extrapolated,")
+    assert run(["osc-kernel", "--symbol", f("e5.toml"), "--chi", f("chi.csv"),
+                "--deltas", "0.5,0.25", "--out", f("osc5.csv")]) == 0
+
+    doc = json.loads(Path(f("v.json")).read_text())
+    assert doc["header"]["n"] == 128
+    assert sorted(r["name"] for r in doc["reports"]) == ["tau_change", "transpose"]
+
+
+def test_grid_symbol_quantize_and_inverse_stft(files):
+    f = files
+    assert run(["quantize", "--symbol", f("grid.toml"), "--tau", 0, "--out", f("opg.csv")]) == 0
+    a = load_phase(f("symbol.csv"))
+    assert np.array_equal(read_operator(f("opg.csv"), 8),
+                          operator_matrix(kernel_from_symbol(a, 0.0)).entries)
+    assert run(["stft", "--in", f("u.csv"), "--out", f("V.csv")]) == 0
+    assert run(["stft", "--inverse", "--in", f("V.csv"), "--out", f("u2.csv")]) == 0
+    u, back = load_function(f("u.csv")), load_function(f("u2.csv"))
+    assert np.max(np.abs(back.values - u.values)) < 1e-3
+
+
+def test_out_goes_to_file(files, capsys):
+    f = files
+    assert run(["antiwick", "--symbol", f("p.toml"), "--n", N, "--L", L,
+                "--verify-smoothing", "--out", f("vs.txt")]) == 0
+    assert run(["laplace", "--density", "indicator:-1:1", "--zeta", "0:0",
+                "--out", f("lap0.txt")]) == 0
+    assert capsys.readouterr().out == ""
+    assert Path(f("vs.txt")).read_text().startswith("max_err ")
+    assert complex(Path(f("lap0.txt")).read_text().strip()) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_dropped_options_rejected(files, command, capsys):
+    argv = valid_commands(files)[command]
+    for opt in DROPPED:
+        if opt in OPTIONS[command]:
+            continue
+        assert run(argv + [opt, 1]) == 2, (command, opt)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_out_required(files):
+    f = files
+    assert run(["stft", "--in", f("u.csv")]) == 2
+    assert run(["quantize", "--symbol", f("p.toml"), "--tau", 0.5]) == 2
+    assert run(["antiwick", "--symbol", f("p.toml")]) == 2
+
+
+def test_path_inapplicable_options_rejected(files, capsys):
+    f = files
+    cases = [
+        ["quantize", "--symbol", f("grid.toml"), "--tau", 0.5, "--n", 64, "--out", f("x.csv")],
+        ["quantize", "--symbol", f("grid.toml"), "--tau", 0.5, "--L", 3, "--out", f("x.csv")],
+        ["antiwick", "--symbol", f("grid.toml"), "--n", 64, "--out", f("x.csv")],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "tau:0:0.5", "--max-order", 2],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "transpose:0", "--max-order", 2],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"compose:{f('p.toml')}",
+         "--max-order", 2],
+        ["weights", "--weights-file", f("w.txt"), "--truncation", 10],
+        ["weights", "--weights-file", f("w.txt"), "--gevrey", 2],
+        ["weights"],
+        # example5's exp(l x^2) factor is read by osc-kernel only
+        ["quantize", "--symbol", f("e5.toml"), "--tau", 0.5, "--out", f("x.csv")],
+        ["antiwick", "--symbol", f("e5.toml"), "--out", f("x.csv")],
+        ["expand", "--symbol", f("e5.toml"), "--theorem", "aw"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"compose:{f('e5.toml')}"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not Path(f("x.csv")).exists()
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_non_finite_tau_exits_2(files, bad, capsys):
+    f = files
+    cases = [
+        ["quantize", "--symbol", f("p.toml"), f"--tau={bad}", "--n", N, "--L", L,
+         "--out", f("bad.csv")],
+        ["quantize", "--symbol", f("grid.toml"), f"--tau={bad}", "--out", f("bad.csv")],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"tau:{bad}:0"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"tau:0:{bad}"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"transpose:{bad}"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        assert "tau must be finite" in capsys.readouterr().err
+    assert not Path(f("bad.csv")).exists()
+
+
+def test_non_finite_laplace_point_exits_2():
+    assert run(["laplace", "--density", "indicator:-1:1", "--zeta", "nan:0"]) == 2

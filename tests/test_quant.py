@@ -15,7 +15,6 @@ from uwq.expansion import (
 )
 from uwq.grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, inner
 from uwq.quant import (
-    Tau,
     anti_wick_direct,
     anti_wick_matrix,
     apply_operator,
@@ -118,13 +117,10 @@ class TestKernel:
             out = M.entries @ mode
             assert np.max(np.abs(out - k * mode)) < 1e-10 * max(1.0, abs(k))
 
-    def test_double_weighting_rejected(self, axis):
-        K = kernel_from_symbol(ONE, 0.5, axis)
-        M = operator_matrix(K)
-        from uwq.quant import KernelMatrix
-
-        with pytest.raises(UwqError):
-            operator_matrix(KernelMatrix(axis, M.entries, weighted=True))
+    def test_operator_matrix_rejected(self, axis):
+        # an OperatorMatrix already has the dy^d weight folded in
+        with pytest.raises(UwqError, match="KernelMatrix"):
+            operator_matrix(weyl(ONE, axis))
 
     def test_linearity_in_symbol(self, axis):
         a, b = X * XI, XI * XI
@@ -189,6 +185,10 @@ class TestSymbolFromKernel:
         err = np.abs(rec.values - a.values)[inner_idx, :]
         assert np.max(err) < 1e-9 * np.max(np.abs(a.values))
 
+    def test_operator_matrix_rejected(self, axis):
+        with pytest.raises(UwqError, match="KernelMatrix"):
+            symbol_from_kernel(weyl(ONE, axis), 0.5)
+
     def test_ordering_conversion_recovers_half_i(self, axis):
         # kernel of x*xi at tau=0 read back as a tau=1/2 symbol: the
         # imaginary part on the inner region pins the +i/2 sign
@@ -202,14 +202,6 @@ class TestSymbolFromKernel:
         assert np.mean(imag) > 0.4  # decisively plus, not minus
         re_err = np.abs(rec.values.real - np.outer(pts, dual))
         assert np.max(re_err[np.ix_(inner_x, inner_k)]) < 1e-10
-
-    def test_weighted_kernel_rejected(self, axis):
-        from uwq.quant import KernelMatrix
-
-        K = kernel_from_symbol(ONE, 0.5, axis)
-        bad = KernelMatrix(axis, K.entries, weighted=True)
-        with pytest.raises(UwqError):
-            symbol_from_kernel(bad, 0.5)
 
 
 class TestOrderingSign:
@@ -414,12 +406,21 @@ class TestSmoothingIdentity:
                 )
 
 
-class TestTau:
-    def test_named_cases(self):
-        assert Tau.weyl().value == 0.5
-        assert Tau.kohn_nirenberg().value == 0.0
-        with pytest.raises(UwqError):
-            Tau(math.inf)
+class TestFiniteTau:
+    def test_non_finite_rejected(self):
+        axis = AxisGrid(16, 4.0, 1)
+        a = X * XI
+        K = kernel_from_symbol(a, 0.5, axis)
+        grid = sample_symbol(a, axis)
+        for bad in (math.inf, -math.inf, math.nan):
+            for call in (lambda: kernel_from_symbol(a, bad, axis),
+                         lambda: kernel_from_symbol(grid, bad),
+                         lambda: symbol_from_kernel(K, bad),
+                         lambda: tau_change_terms(a, bad, 0.5),
+                         lambda: tau_change_terms(a, 0.5, bad),
+                         lambda: transpose_terms(a, bad)):
+                with pytest.raises(UwqError, match="tau must be finite"):
+                    call()
 
 
 class TestTwoDimensions:
