@@ -279,6 +279,20 @@ def _operator_symbol(args):
     return _poly_of(spec), AxisGrid(n, L, d)
 
 
+def _numbers(parts: List[str], what: str, count: Optional[int] = None) -> List[float]:
+    """The floats of a split option value; a wrong count or a malformed
+    number is a ``UwqError``, not a traceback."""
+    if count is not None and len(parts) != count:
+        raise UwqError(f"{what}: expected {count} number{'s' * (count != 1)}, got {len(parts)}")
+    out = []
+    for p in parts:
+        try:
+            out.append(float(p))
+        except ValueError:
+            raise UwqError(f"{what}: {p!r} is not a number") from None
+    return out
+
+
 def _write_out(data: bytes, out: Optional[str]):
     if out:
         with open(out, "wb") as fh:
@@ -303,12 +317,10 @@ def _cmd_weights(args) -> int:
         lines.append(f"# m1_ok={rep.m1_ok} m2_H={rep.m2_H} m2_c0={rep.m2_c0} "
                      f"m3_ok={rep.m3_ok} m3_c0={rep.m3_c0}")
     lines.append("rho,M,saturated")
-    for tok in (args.rho or "").split(","):
-        if not tok:
-            continue
-        rho = float(tok)
-        res = assoc_fn(w, rho)
-        lines.append(f"{rho:.17g},{res.value:.17g},{int(res.saturated)}")
+    rhos = _numbers([tok for tok in args.rho.split(",") if tok], "--rho")
+    res = assoc_fn(w, np.array(rhos, dtype=float))
+    for rho, value, saturated in zip(rhos, res.value, res.saturated):
+        lines.append(f"{rho:.17g},{value:.17g},{int(saturated)}")
     _write_out(("\n".join(lines) + "\n").encode(), args.out)
     return 0
 
@@ -380,11 +392,11 @@ def _cmd_expand(args) -> int:
         res = inverse_aw_recursion(a, args.max_order)
         _print_poly_table([res.a], args.out)
     elif theorem.startswith("tau:"):
-        _, t1, t = theorem.split(":")
-        _print_poly_table([tau_change_terms(a, float(t1), float(t))], args.out)
+        t1, t = _numbers(theorem.split(":")[1:], "--theorem tau:T1:T", 2)
+        _print_poly_table([tau_change_terms(a, t1, t)], args.out)
     elif theorem.startswith("transpose:"):
-        _, t = theorem.split(":")
-        _print_poly_table([transpose_terms(a, float(t))], args.out)
+        (t,) = _numbers(theorem.split(":")[1:], "--theorem transpose:T", 1)
+        _print_poly_table([transpose_terms(a, t)], args.out)
     elif theorem.startswith("compose:"):
         other = _poly_of(load_symbol(theorem.split(":", 1)[1]))
         _print_poly_table([compose_terms(a, other)], args.out)
@@ -396,18 +408,20 @@ def _cmd_expand(args) -> int:
 def _parse_density(spec: str) -> CompactDensity:
     parts = spec.split(":")
     if parts[0] == "indicator" and len(parts) == 3:
-        return CompactDensity.indicator(float(parts[1]), float(parts[2]))
+        return CompactDensity.indicator(*_numbers(parts[1:], "--density bounds"))
     if parts[0] == "bump" and len(parts) == 3:
-        return CompactDensity.gaussian_bump(float(parts[1]), float(parts[2]))
+        return CompactDensity.gaussian_bump(*_numbers(parts[1:], "--density bounds"))
     if parts[0] == "polybump" and len(parts) == 4:
-        coeffs = [float(v) for v in parts[1].split(",")]
-        return CompactDensity.poly_times_bump(coeffs, float(parts[2]), float(parts[3]))
+        coeffs = _numbers(parts[1].split(","), "--density coefficients")
+        return CompactDensity.poly_times_bump(coeffs, *_numbers(parts[2:], "--density bounds"))
     raise UwqError("density must be indicator:lo:hi, bump:lo:hi, or polybump:c0,c1,..:lo:hi")
 
 
 def _cmd_gaussconv(args) -> int:
     S = _parse_density(args.density)
-    a, b, step = (float(v) for v in args.x.split(":"))
+    a, b, step = _numbers(args.x.split(":"), "--x a:b:step", 3)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step) and step > 0.0):
+        raise UwqError("--x a:b:step needs finite a, b and a step > 0")
     xs = np.arange(a, b + 0.5 * step, step)
     lines = ["x,via_laplace,direct,relerr"]
     for xv in xs:
@@ -424,7 +438,7 @@ def _cmd_gaussconv(args) -> int:
 
 def _cmd_laplace(args) -> int:
     S = _parse_density(args.density)
-    re, im = (float(v) for v in args.zeta.split(":"))
+    re, im = _numbers(args.zeta.split(":"), "--zeta re:im", 2)
     val = laplace(S, complex(re, im))
     _write_out(f"{val.real:.17g}{val.imag:+.17g}j\n".encode(), args.out)
     return 0
@@ -433,7 +447,7 @@ def _cmd_laplace(args) -> int:
 def _cmd_osc_kernel(args) -> int:
     spec = load_symbol(args.symbol)
     chi = load_function(args.chi)
-    deltas = [float(v) for v in args.deltas.split(",")]
+    deltas = _numbers(args.deltas.split(","), "--deltas")
     if spec.kind == "example5":
         P = spec.poly()
         l = spec.l

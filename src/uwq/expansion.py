@@ -337,6 +337,8 @@ def aw_to_weyl_terms(a: PolySymbol, J: Optional[int] = None) -> "FormalExpansion
     """
     if J is None:
         J = max(0, (a.degree() + 1) // 2)
+    elif J < 0:
+        raise UwqError(f"expansion order J must be >= 0, got {J}")
     return FormalExpansion([a] + [_heat_slice(a, j) for j in range(1, J + 1)])
 
 
@@ -383,6 +385,8 @@ def inverse_aw_recursion(b: PolySymbol, J: Optional[int] = None) -> InverseAwRes
     K = max(0, (b.degree() + 1) // 2)
     if J is None:
         J = K
+    elif J < 0:
+        raise UwqError(f"recursion order J must be >= 0, got {J}")
     primed: Dict[Tuple[int, int], PolySymbol] = {(0, 0): b}
     for k in range(1, K + 1):
         primed[(k, 0)] = PolySymbol.zero(b.d)
@@ -520,17 +524,11 @@ def gamma_norm_estimate(a: PolySymbol, params: ClassParams, box: float,
 
     def m_of(r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r)
-        flat = r.ravel()
-        vals = np.empty(flat.size)
-        for i, v in enumerate(flat):
-            if v <= 0.0:
-                vals[i] = 0.0
-            else:
-                res = assoc_fn(params.weight, params.m * v)
-                if res.saturated:
-                    raise SaturationError("gamma-norm weight saturated; enlarge truncation")
-                vals[i] = res.value
-        out[...] = vals.reshape(r.shape)
+        positive = r > 0.0
+        res = assoc_fn(params.weight, params.m * r[positive])
+        if np.any(res.saturated):
+            raise SaturationError("gamma-norm weight saturated; enlarge truncation")
+        out[positive] = res.value
         return out
 
     damp = np.exp(-m_of(knorm) - m_of(xnorm))

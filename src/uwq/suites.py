@@ -74,6 +74,12 @@ from .weights import (
 
 __all__ = ["Report", "SuiteParams", "SUITES", "run_suite", "report_header"]
 
+# Coarsest grid the criteria accept.  At n = 16 the STFT identities miss
+# their 1e-10 tolerance by a factor of 300 (L = 4) to 4e7 (L = 10), and the
+# quantization, inverse-expansion, tau and composition checks miss theirs by
+# 1e3 or more: such a grid does not resolve the Hermite/Gaussian corpus.
+MIN_N = 32
+
 
 @dataclass(frozen=True)
 class Report:
@@ -122,9 +128,16 @@ def _xi() -> PolySymbol:
     return PolySymbol.xi()
 
 
-def _band_limited(axis: AxisGrid, rng, half_width: int = 20) -> FunctionGrid:
+def _half_band(n: int, cap: int) -> int:
+    """Half-width in bins of a random band: ``cap`` (a fixed frequency band
+    at a fixed box) while that covers at most 3/4 of the n bins."""
+    return min(cap, 3 * n // 8)
+
+
+def _band_limited(axis: AxisGrid, rng) -> FunctionGrid:
     n = axis.n
     spec = np.zeros(n, dtype=complex)
+    half_width = _half_band(n, 20)
     lo, hi = n // 2 - half_width, n // 2 + half_width
     spec[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     vals = _shifted_ifft(spec, (0,)) * n
@@ -148,9 +161,10 @@ def _decaying_corpus(axis: AxisGrid) -> List[FunctionGrid]:
     return out
 
 
-def _band_limited_symbol(axis: AxisGrid, rng, half_width: int = 12) -> PhaseFunctionGrid:
+def _band_limited_symbol(axis: AxisGrid, rng) -> PhaseFunctionGrid:
     n = axis.n
     spec = np.zeros((n, n), dtype=complex)
+    half_width = _half_band(n, 12)
     lo, hi = n // 2 - half_width, n // 2 + half_width
     spec[lo:hi, lo:hi] = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
     vals = _shifted_ifft(spec, (0, 1)).real * n * n
@@ -487,6 +501,9 @@ def run_suite(name: str, params: Optional[SuiteParams] = None) -> List[Report]:
             f"verify criteria run in d=1 only, got d={params.d}; two dimensions "
             f"are covered by the 2-d spot checks inside stft_inversion "
             f"(n={constants.DEFAULT_N_2D}) and oscillatory_kernel (n=256)")
+    if params.n < MIN_N:
+        raise UwqError(f"verify criteria need n >= {MIN_N}, got n={params.n}; "
+                       f"a coarser grid does not resolve their corpus")
     if name == "all":
         fns = [fn for key in SUITE_ORDER for fn in SUITES[key]]
     elif name in SUITES:

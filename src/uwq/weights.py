@@ -138,42 +138,59 @@ class SubordinateSequence:
 class AssocResult:
     """Value of an associated function together with its maximizer.
 
-    ``saturated`` flags that the maximizing index sits at (or the input lies
-    beyond) the stored truncation, so the true supremum may be larger; the
-    value is then only a lower bound and is never silently clamped.
+    Each field has the shape of the input rho; for a scalar rho they are
+    numpy scalars (``value`` is a ``float``).  ``saturated`` flags that the
+    maximizing index sits at (or the input lies beyond) the stored
+    truncation, so the true supremum may be larger; the value is then only a
+    lower bound and is never silently clamped.
     """
 
-    value: float
-    argmax: int
-    saturated: bool
+    value: np.ndarray
+    argmax: np.ndarray
+    saturated: np.ndarray
 
     def __float__(self) -> float:
-        return self.value
+        return float(self.value)
 
 
-def _assoc_scan(log_denominators: np.ndarray, rho: float, log_m_last: float) -> AssocResult:
-    if not (rho > 0.0) or not math.isfinite(rho):
+def _assoc_scan(log_denominators: np.ndarray, rho, log_m_last: float) -> AssocResult:
+    """sup_p (p ln rho - log_denominators[p])_+ for every entry of rho, one
+    scan per distinct value."""
+    rho = np.asarray(rho, dtype=float)
+    if not (np.all(rho > 0.0) and np.all(np.isfinite(rho))):
         raise UwqError("associated function needs rho > 0")
+    distinct, where = np.unique(rho, return_inverse=True)
+    # math.log per distinct value keeps the scan bitwise equal to a scalar one
+    log_rho = np.array([math.log(r) for r in distinct])
     P = log_denominators.size - 1
-    terms = np.arange(P + 1) * math.log(rho) - log_denominators
-    k = int(np.argmax(terms))
-    value = max(0.0, float(terms[k]))
-    saturated = (k == P and value > 0.0) or math.log(rho) >= log_m_last
-    return AssocResult(value=value, argmax=k, saturated=saturated)
+    terms = log_rho[:, None] * np.arange(P + 1) - log_denominators
+    k = np.argmax(terms, axis=1)
+    best = terms[np.arange(distinct.size), k]
+    value = np.where(best > 0.0, best, 0.0)
+    saturated = ((k == P) & (value > 0.0)) | (log_rho >= log_m_last)
+
+    def spread(a):
+        # back to rho's shape; [()] turns the 0-d case into a numpy scalar
+        return a[where].reshape(rho.shape)[()]
+
+    return AssocResult(value=spread(value), argmax=spread(k), saturated=spread(saturated))
 
 
-def assoc_fn(w: WeightSequence, rho: float) -> AssocResult:
+def assoc_fn(w: WeightSequence, rho) -> AssocResult:
     """M(rho) = sup_p log_+ rho^p / M_p, scanned over the stored prefix.
 
-    Because the quotients m_p are non-decreasing for log-convex sequences,
-    the scan is exact whenever rho < m_P; otherwise the result is flagged
-    saturated.
+    rho is a positive scalar or array; the result's fields take its shape.
+    The scan runs once per distinct value of rho, so its one temporary is
+    (#distinct) x (P+1).  Because the quotients m_p are non-decreasing for
+    log-convex sequences, the scan is exact whenever rho < m_P; otherwise
+    the result is flagged saturated.
     """
     return _assoc_scan(w.log_values, rho, w.log_values[-1] - w.log_values[-2])
 
 
-def assoc_fn_subordinate(w: WeightSequence, r: SubordinateSequence, rho: float) -> AssocResult:
-    """N(rho) = sup_p log_+ rho^p / (M_p prod_{j<=p} r_j)."""
+def assoc_fn_subordinate(w: WeightSequence, r: SubordinateSequence, rho) -> AssocResult:
+    """N(rho) = sup_p log_+ rho^p / (M_p prod_{j<=p} r_j), for scalar or
+    array rho as in ``assoc_fn``."""
     P = min(w.truncation, r.r.size)
     denom = w.log_values[: P + 1].copy()
     denom[1:] += r.log_cumulative[:P]
@@ -268,7 +285,8 @@ def check_assoc_bound(
     n_max: int,
     constants: Optional[tuple] = None,
 ) -> bool:
-    """Check M(m * m_n) <= 2 (c0 m + 2) n ln H + ln c0 for n = 1..n_max.
+    """Check M(m * m_n) <= 2 (c0 m + 2) n ln H + ln c0 for n = 1..n_max;
+    a saturated M(m * m_n) for any of these n raises.
 
     ``constants`` overrides the fitted (c0, H) pair, which is how the
     adversarial c0 = H = 1 case is exercised.
@@ -282,16 +300,13 @@ def check_assoc_bound(
         c0, H = rep.c0, rep.H
     else:
         c0, H = constants
-    for n in range(1, n_max + 1):
-        res = assoc_fn(w, m * w.quotient(n))
-        if res.saturated:
-            raise SaturationError(
-                f"M(m*m_{n}) saturated the truncation; enlarge the stored prefix"
-            )
-        rhs = 2.0 * (c0 * m + 2.0) * n * math.log(H) + math.log(c0)
-        if res.value > rhs + 1e-12:
-            return False
-    return True
+    ns = np.arange(1, n_max + 1)
+    res = assoc_fn(w, m * np.array([w.quotient(n) for n in range(1, n_max + 1)], dtype=float))
+    if np.any(res.saturated):
+        raise SaturationError(f"M(m*m_{ns[np.argmax(res.saturated)]}) saturated the "
+                              f"truncation; enlarge the stored prefix")
+    rhs = 2.0 * (c0 * m + 2.0) * ns * math.log(H) + math.log(c0)
+    return bool(np.all(res.value <= rhs + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -435,22 +450,18 @@ def verify_ultrapoly_bound(
     """
     if k <= 0:
         raise UwqError("k must be positive")
-    grid = np.asarray(grid, dtype=float)
+    ax = np.abs(np.asarray(grid, dtype=float))
+    m_val = np.zeros(ax.shape)  # the associated function vanishes as rho -> 0+
+    nonzero = ax != 0.0
+    res = assoc_fn(P.weight, ax[nonzero] / k)
+    if np.any(res.saturated):
+        raise SaturationError("associated function saturated on the bound-check grid")
+    m_val[nonzero] = res.value
     best = math.inf
     arg = 0
-    for i, x in enumerate(grid):
-        ax = abs(float(x))
-        if ax == 0.0:
-            m_val = 0.0  # associated function vanishes as rho -> 0+
-        else:
-            res = assoc_fn(P.weight, ax / k)
-            if res.saturated:
-                raise SaturationError(
-                    "associated function saturated on the bound-check grid"
-                )
-            m_val = res.value
-        val = ultrapoly_eval(P, complex(ax), strict=False, tail_correction=True)
-        log_ratio = math.log(abs(val)) - m_val
+    for i, x in enumerate(ax):
+        val = ultrapoly_eval(P, complex(x), strict=False, tail_correction=True)
+        log_ratio = math.log(abs(val)) - m_val[i]
         ratio = math.exp(log_ratio) if log_ratio > -700 else 0.0
         if ratio < best:
             best, arg = ratio, i

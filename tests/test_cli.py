@@ -232,3 +232,46 @@ def test_non_finite_tau_exits_2(files, bad, capsys):
 
 def test_non_finite_laplace_point_exits_2():
     assert run(["laplace", "--density", "indicator:-1:1", "--zeta", "nan:0"]) == 2
+
+
+def test_malformed_numbers_exit_2(files, capsys):
+    f = files
+    cases = [
+        ["weights", "--gevrey", 2, "--rho", "abc"],
+        ["weights", "--gevrey", 2, "--rho", "1,x,10"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "tau:1"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "tau:0:b"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "transpose:"],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "transpose:x"],
+        ["laplace", "--density", "indicator:-1:1", "--zeta", "1"],
+        ["laplace", "--density", "indicator:-1:1", "--zeta", "a:0"],
+        ["laplace", "--density", "indicator:-1:z", "--zeta", "0:0"],
+        ["laplace", "--density", "bump:q:1", "--zeta", "0:0"],
+        ["laplace", "--density", "polybump:1,c:-1:1", "--zeta", "0:0"],
+        ["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "0:1"],
+        ["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "0:1:h"],
+        ["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "0:1:0"],
+        ["osc-kernel", "--symbol", f("p.toml"), "--chi", f("chi.csv"), "--deltas", "0.5,d"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_weights_rho_list_in_one_table(files):
+    f = files
+    assert run(["weights", "--gevrey", 2, "--rho", "1,10,100,1e6", "--out", f("w.csv")]) == 0
+    lines = Path(f("w.csv")).read_text().splitlines()
+    assert lines == ["rho,M,saturated", "1,0,0", "10,3.3242363405260278,0",
+                     "100,15.842876713729886,0", lines[-1]]
+    assert lines[-1].startswith("1000000,") and lines[-1].endswith(",1")
+    assert run(["weights", "--gevrey", 2, "--rho", "1,0", "--out", f("w0.csv")]) == 2
+
+
+@pytest.mark.parametrize("theorem", ["aw", "inverse"])
+def test_negative_max_order_exits_2(files, theorem, capsys):
+    f = files
+    assert run(["expand", "--symbol", f("p.toml"), "--theorem", theorem, "--max-order", -1,
+                "--out", f("neg.csv")]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not Path(f("neg.csv")).exists()

@@ -183,6 +183,15 @@ class TestInverseRecursion:
             assert poly_allclose(heat_quarter(res.a, +1), b, rtol=1e-12)
             assert poly_allclose(res.a, heat_quarter(b, -1), rtol=1e-12)
 
+    def test_order_zero_and_negative(self):
+        assert poly_allclose(inverse_aw_recursion(XI * XI, 0).a, XI * XI)
+        assert len(aw_to_weyl_terms(XI * XI, 0)) == 1
+        for J in (-1, -5):
+            with pytest.raises(UwqError, match="must be >= 0"):
+                inverse_aw_recursion(XI * XI, J)
+            with pytest.raises(UwqError, match="must be >= 0"):
+                aw_to_weyl_terms(XI * XI, J)
+
 
 class TestTauChange:
     def test_x_independent_is_fixed(self):

@@ -2,7 +2,7 @@ import pytest
 
 from uwq.cli import main
 from uwq.errors import UwqError
-from uwq.suites import SuiteParams, run_suite
+from uwq.suites import SuiteParams, _half_band, run_suite
 
 
 def test_all_criteria_pass_at_defaults():
@@ -20,3 +20,21 @@ def test_two_dimensions_rejected():
 def test_cli_verify_two_dimensions_exits_nonzero(capsys):
     assert main(["verify", "--d", "2"]) != 0
     assert "d=1 only" in capsys.readouterr().err
+
+
+def test_band_sized_from_n():
+    # the default grids keep their 40- and 24-bin bands; n = 32 gets 24 bins
+    assert _half_band(128, 20) == 20 and _half_band(128, 12) == 12
+    assert _half_band(64, 20) == 20 and _half_band(32, 20) == 12
+    reports = run_suite("stft", SuiteParams(n=32))
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert len(run_suite("quant245", SuiteParams(n=32))) == 4
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_coarse_grid_rejected(n, capsys):
+    for suite in ("stft", "quant245", "all"):
+        with pytest.raises(UwqError, match="n >= 32"):
+            run_suite(suite, SuiteParams(n=n))
+    assert main(["verify", "--n", str(n), "--suite", "stft"]) == 2
+    assert capsys.readouterr().err.startswith("error: verify criteria need n >= 32")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uwq.errors import SaturationError, TailBoundError, UwqError
+from uwq.expansion import ClassParams, PolySymbol, compositions, gamma_norm_estimate, poly_derive
 from uwq.weights import (
     SubordinateSequence,
     Ultrapolynomial,
@@ -32,7 +33,8 @@ def brute_force_assoc(s, rho, pmax=50):
 
 class TestAssocFn:
     def test_small_rho_vanishes(self, gevrey2):
-        assert assoc_fn(gevrey2, 0.5).value == 0.0
+        # +0.0, not the -0.0 of 0 * ln(0.5)
+        assert float.hex(assoc_fn(gevrey2, 0.5).value) == "0x0.0p+0"
 
     def test_rho_two_is_log_two(self, gevrey2):
         res = assoc_fn(gevrey2, 2.0)
@@ -72,6 +74,146 @@ class TestAssocFn:
             b = assoc_fn(gevrey2, 2.0 * rho)
             if b.value > 0.0 and not b.saturated:
                 assert b.value > a.value
+
+
+# Gevrey s = 1.5, 2, 3 and an explicit log-convex sequence (ln m_p = p/2).
+SEQUENCES = [WeightSequence.gevrey(1.5), WeightSequence.gevrey(2.0), WeightSequence.gevrey(3.0),
+             WeightSequence.explicit(log_values=0.25 * np.arange(41) * np.arange(1, 42))]
+
+
+def rho_sweep(w):
+    """Radii from far below m_1 to past m_P, with m_P and its neighbours and
+    repeated values."""
+    m_P = math.exp(w.log_values[-1] - w.log_values[-2])
+    edge = [np.nextafter(m_P, 0.0), m_P, np.nextafter(m_P, np.inf)]
+    return np.concatenate([np.geomspace(1e-3, 4.0 * m_P, 3000), edge, [2.0, 2.0, 0.5]])
+
+
+def scalar_fields(res):
+    return float.hex(float(res.value)), int(res.argmax), bool(res.saturated)
+
+
+def scalar_scan(w, rho):
+    """M(rho) by one scan over p for a single float rho: the reference the
+    array evaluation must match bit for bit."""
+    P = w.truncation
+    terms = np.arange(P + 1) * math.log(rho) - w.log_values
+    k = int(np.argmax(terms))
+    value = max(0.0, float(terms[k]))
+    saturated = (k == P and value > 0.0) or math.log(rho) >= w.log_values[-1] - w.log_values[-2]
+    return float.hex(value), k, saturated
+
+
+class TestAssocArray:
+    @pytest.mark.parametrize("w", SEQUENCES, ids=["s1.5", "s2", "s3", "explicit"])
+    def test_array_equals_scalar(self, w):
+        rhos = rho_sweep(w)
+        res = assoc_fn(w, rhos)
+        assert res.saturated.any() and not res.saturated.all()
+        for i, rho in enumerate(rhos):
+            got = (float.hex(float(res.value[i])), int(res.argmax[i]), bool(res.saturated[i]))
+            assert got == scalar_fields(assoc_fn(w, float(rho))) == scalar_scan(w, float(rho)), rho
+
+    def test_shapes_kept(self, gevrey2):
+        scalar = assoc_fn(gevrey2, 10.0)
+        assert isinstance(scalar.value, float)
+        assert f"{scalar.value:.17g}" == f"{float(scalar):.17g}"
+        assert np.shape(scalar.value) == np.shape(scalar.argmax) == np.shape(scalar.saturated) == ()
+        assert scalar.argmax == assoc_fn(gevrey2, np.array([10.0])).argmax[0]
+        rhos = np.linspace(0.5, 50.0, 12)
+        for shape in [(), (12,), (3, 4)]:
+            r = rhos[0] if shape == () else rhos.reshape(shape)
+            res = assoc_fn(gevrey2, np.asarray(r))
+            assert np.shape(res.value) == np.shape(res.argmax) == np.shape(res.saturated) == shape
+        grid = assoc_fn(gevrey2, rhos.reshape(3, 4))
+        np.testing.assert_array_equal(grid.value.ravel(), assoc_fn(gevrey2, rhos).value)
+
+    def test_empty_array(self, gevrey2):
+        assert assoc_fn(gevrey2, np.array([])).value.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_any_bad_entry_rejected(self, gevrey2, bad):
+        with pytest.raises(UwqError):
+            assoc_fn(gevrey2, np.array([1.0, 5.0, bad, 2.0]))
+        with pytest.raises(UwqError):
+            assoc_fn(gevrey2, np.array([[1.0, bad]]))
+
+    def test_subordinate_on_arrays(self, gevrey2):
+        r = SubordinateSequence(np.arange(1.0, 65.0))
+        rhos = np.geomspace(0.1, 1e7, 60).reshape(6, 10)
+        res = assoc_fn_subordinate(gevrey2, r, rhos)
+        assert res.value.shape == (6, 10)
+        for idx in np.ndindex(rhos.shape):
+            ref = assoc_fn_subordinate(gevrey2, r, float(rhos[idx]))
+            assert (float.hex(float(res.value[idx])), int(res.argmax[idx]),
+                    bool(res.saturated[idx])) == scalar_fields(ref)
+
+
+def gamma_norm_reference(a, params, box, points_per_axis=121):
+    """The Gamma-seminorm estimate with the damping weight evaluated one
+    point at a time, as a reference for the array evaluation."""
+    d = a.d
+    ax = np.linspace(-box, box, points_per_axis)
+    mesh = np.meshgrid(*([ax] * (2 * d)), indexing="ij")
+    xs, ks = tuple(mesh[:d]), tuple(mesh[d:])
+    jap = np.sqrt(1.0 + sum(m**2 for m in mesh))
+
+    def m_of(r):
+        vals = np.zeros(r.size)
+        for i, v in enumerate(r.ravel()):
+            if v > 0.0:
+                res = assoc_fn(params.weight, params.m * v)
+                if res.saturated:
+                    raise SaturationError("saturated")
+                vals[i] = res.value
+        return vals.reshape(r.shape)
+
+    damp = np.exp(-m_of(np.sqrt(sum(m**2 for m in ks))) - m_of(np.sqrt(sum(m**2 for m in xs))))
+    best = 0.0
+    for tot_a in range(a.xi_degree() + 1):
+        for alpha in compositions(tot_a, d):
+            for tot_b in range(a.x_degree() + 1):
+                for beta in compositions(tot_b, d):
+                    dp = poly_derive(a, alpha, beta)
+                    if dp.is_zero():
+                        continue
+                    order = tot_a + tot_b
+                    weight = (jap ** (params.rho * order) * damp
+                              / (params.h**order
+                                 * math.exp(params.log_a(tot_a) + params.log_a(tot_b))))
+                    best = max(best, float(np.max(np.abs(dp.evaluate(xs, ks)) * weight)))
+    return best
+
+
+class TestGammaNormArray:
+    SYMBOLS = [
+        PolySymbol(1, {((2,), (2,)): 0.7, ((1,), (0,)): 1.3, ((0,), (0,)): 0.9}),
+        PolySymbol(1, {((4,), (2,)): 1.1, ((2,), (4,)): 0.6, ((3,), (0,)): 1.4,
+                       ((0,), (1,)): 0.8, ((0,), (0,)): 1.0}),
+    ]
+
+    @pytest.mark.parametrize("s,m", [(2.0, 1.0), (1.5, 0.5), (3.0, 2.0)])
+    def test_equals_per_point_reference(self, s, m):
+        params = ClassParams(rho=1.0, h=1.0, m=m, weight=WeightSequence.gevrey(s))
+        for a in self.SYMBOLS:
+            got = gamma_norm_estimate(a, params, 10.0, points_per_axis=31)
+            ref = gamma_norm_reference(a, params, 10.0, points_per_axis=31)
+            assert float.hex(got) == float.hex(ref)
+
+    def test_two_dimensions_equal_reference(self):
+        params = ClassParams(rho=0.5, h=1.0, m=1.0, weight=WeightSequence.gevrey(2.0))
+        a = PolySymbol(2, {((1, 0), (0, 1)): 1.0, ((0, 0), (2, 0)): 0.5})
+        assert float.hex(gamma_norm_estimate(a, params, 4.0, points_per_axis=7)) == \
+            float.hex(gamma_norm_reference(a, params, 4.0, points_per_axis=7))
+
+    def test_saturation_raises(self):
+        # m_P = 8^2 = 64 for the Gevrey-2 prefix of length 8; the mesh reaches 100
+        params = ClassParams(rho=1.0, h=1.0, m=10.0,
+                             weight=WeightSequence.gevrey(2.0, truncation=8))
+        with pytest.raises(SaturationError):
+            gamma_norm_estimate(PolySymbol.one(), params, 10.0, points_per_axis=21)
+        with pytest.raises(SaturationError):
+            gamma_norm_reference(PolySymbol.one(), params, 10.0, points_per_axis=21)
 
 
 class TestAssocSubordinate:
@@ -144,6 +286,14 @@ class TestAssocBound:
     def test_adversarial_constants_fail(self, gevrey2):
         assert not check_assoc_bound(gevrey2, 1.0, 20, constants=(1.0, 1.0))
 
+    def test_saturation_raises(self):
+        # m m_n reaches the last stored quotient m_8 at n = 8
+        short = WeightSequence.gevrey(2.0, truncation=8)
+        assert check_assoc_bound(short, 1.0, 7, constants=(10.0, 8.0))
+        for constants in [(10.0, 8.0), (1.0, 1.0)]:
+            with pytest.raises(SaturationError, match="m_8"):
+                check_assoc_bound(short, 1.0, 10, constants=constants)
+
 
 class TestUltrapolynomial:
     def test_value_at_zero_is_one(self, gevrey2):
@@ -188,6 +338,12 @@ def wide():
 
 
 class TestLowerBound:
+
+    def test_saturation_raises(self):
+        P = Ultrapolynomial(weight=WeightSequence.gevrey(2.0, truncation=8), scale=1.0,
+                            q=1, truncation=2000)
+        with pytest.raises(SaturationError):
+            verify_ultrapoly_bound(P, 1.0, [0.0, 1.0, 100.0])
 
     def test_grid_origin_ratio_one(self, wide):
         P = Ultrapolynomial(weight=wide, scale=1.0, q=1, truncation=2000)
