@@ -42,7 +42,7 @@ from .gaussconv import (
     laplace,
     oscillatory_kernel,
     smooth_cutoff,
-    smoothed_gaussian_poly,
+    smoothed_gaussian_symbol,
 )
 from .grid import (
     AxisGrid,
@@ -59,6 +59,7 @@ from .grid import (
     phase_l2_norm,
     quadrature,
     save_function,
+    save_grid,
     save_phase,
 )
 from .quant import (

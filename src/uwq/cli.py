@@ -33,11 +33,11 @@ from .expansion import (
 )
 from .gaussconv import (
     CompactDensity,
-    SeparableSymbol,
     conv_gauss_direct,
     conv_gauss_via_laplace,
     laplace,
     oscillatory_kernel,
+    smoothed_gaussian_symbol,
 )
 from .grid import (
     AxisGrid,
@@ -45,6 +45,7 @@ from .grid import (
     load_function,
     load_phase,
     save_function,
+    save_grid,
     save_phase,
 )
 from .quant import (
@@ -338,20 +339,10 @@ def _cmd_stft(args) -> int:
     return 0
 
 
-def _save_operator(M, path):
-    ax = M.axis
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={ax.n} L={ax.L:.17g} d={ax.d} kind=operator\n")
-        N = ax.size
-        for r in range(N):
-            for c in range(N):
-                v = M.entries[r, c]
-                fh.write(f"{r},{c},{v.real:.17g},{v.imag:.17g}\n")
-
-
 def _cmd_quantize(args) -> int:
     a, axis = _operator_symbol(args)
-    _save_operator(operator_matrix(kernel_from_symbol(a, args.tau, axis)), args.out)
+    M = operator_matrix(kernel_from_symbol(a, args.tau, axis))
+    save_grid(M.axis, M.entries, args.out, "operator")
     return 0
 
 
@@ -364,7 +355,8 @@ def _cmd_antiwick(args) -> int:
         _write_out(f"max_err {rep['max_err']:.6e} (full matrix {rep['max_err_full']:.6e})\n".encode(),
                    args.out)
         return 0
-    _save_operator(anti_wick_matrix(a, axis), args.out)
+    M = anti_wick_matrix(a, axis)
+    save_grid(M.axis, M.entries, args.out, "operator")
     return 0
 
 
@@ -449,19 +441,7 @@ def _cmd_osc_kernel(args) -> int:
     chi = load_function(args.chi)
     deltas = _numbers(args.deltas.split(","), "--deltas")
     if spec.kind == "example5":
-        P = spec.poly()
-        l = spec.l
-        d = spec.d
-        pref = (1.0 - l) ** (-d / 2.0)
-        from .expansion import heat_quarter
-
-        smoothed = heat_quarter(P, +1)
-
-        def fxi(k):
-            return smoothed.evaluate((np.zeros(1),), (k,))
-
-        sym = SeparableSymbol(fx=lambda m: pref * np.exp(l * m**2 / (1.0 - l)),
-                              fxi=fxi)
+        sym = smoothed_gaussian_symbol(spec.l, spec.poly())
     else:
         sym = spec.poly()
     rep = oscillatory_kernel(sym, chi, deltas)
@@ -576,7 +556,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UwqError as exc:
+    except (UwqError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,6 +1,6 @@
 """Laplace transforms of compactly supported densities, the Gaussian
 convolution identity, a growth diagnostic for cosh-weighted integrability,
-the closed-form smoothed symbol for exp(l|x|^2) P(xi), and the regularized
+the closed-form smoothed symbol for exp(l x^2) P(xi), and the regularized
 oscillatory-integral kernel pairing.
 
 Densities are represented by Gauss-Legendre nodes and weights on their
@@ -26,9 +26,9 @@ __all__ = [
     "conv_gauss_via_laplace",
     "conv_gauss_direct",
     "bstar_diagnostic",
-    "smoothed_gaussian_poly",
     "smooth_cutoff",
     "SeparableSymbol",
+    "smoothed_gaussian_symbol",
     "oscillatory_kernel",
     "OscillatoryReport",
 ]
@@ -212,27 +212,6 @@ def bstar_diagnostic(envelope, s: float, k_list: Sequence[float], box: float,
     return report
 
 
-def smoothed_gaussian_poly(l: float, P: PolySymbol, x, xi) -> complex:
-    """Closed-form Gaussian smoothing of the symbol exp(l|x|^2) P(xi):
-
-        (1-l)^{-d/2} exp(l|x|^2/(1-l)) * (heat-flow of P in xi)(xi),
-
-    the eta-integral done exactly through Gaussian moments."""
-    if l >= 1.0:
-        raise UwqError("need l < 1 for the Gaussian smoothing to exist")
-    if P.x_degree() > 0:
-        raise UwqError("P must be a polynomial in xi only")
-    d = P.d
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x.size != d or xi.size != d:
-        raise UwqError("coordinate dimension mismatch")
-    smoothed = heat_quarter(P, +1)  # x-part of P is constant, so this is the xi heat flow
-    val = smoothed.evaluate(tuple(np.zeros(1) for _ in range(d)), tuple(xi[i:i + 1] for i in range(d)))
-    pref = (1.0 - l) ** (-d / 2.0) * math.exp(l * float(x @ x) / (1.0 - l))
-    return complex(pref * np.asarray(val).ravel()[0])
-
-
 def _bump_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     out = np.zeros_like(t)
@@ -260,6 +239,25 @@ class SeparableSymbol:
 
     fx: Callable
     fxi: Callable
+
+
+def smoothed_gaussian_symbol(l: float, P: PolySymbol) -> SeparableSymbol:
+    """Closed-form Gaussian smoothing of the one-dimensional symbol
+    exp(l x^2) P(xi):
+
+        (1-l)^{-1/2} exp(l x^2/(1-l)) * (heat-flow of P in xi)(xi),
+
+    the eta-integral done exactly through Gaussian moments."""
+    if l >= 1.0:
+        raise UwqError("need l < 1 for the Gaussian smoothing to exist")
+    if P.d != 1:
+        raise UwqError("the oscillatory pairing is one-dimensional")
+    if P.x_degree() > 0:
+        raise UwqError("P must be a polynomial in xi only")
+    pref = (1.0 - l) ** -0.5
+    smoothed = heat_quarter(P, +1)  # x-part of P is constant, so this is the xi heat flow
+    return SeparableSymbol(fx=lambda m: pref * np.exp(l * m**2 / (1.0 - l)),
+                           fxi=lambda k: smoothed.evaluate((np.zeros(1),), (k,)))
 
 
 @dataclass(frozen=True)

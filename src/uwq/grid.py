@@ -1,15 +1,33 @@
-"""Uniform periodic grids, the Fourier convention, Gaussian windows, and
-sampled-function containers.
+"""Uniform periodic grids, the Fourier convention, Gaussian windows,
+sampled-function containers, and the one grid-file format.
 
 Convention: F(xi) = integral e^{-i x xi} f(x) dx, approximated by the
 Riemann sum dx^d * sum_j e^{-i x_j xi_k} u(x_j) on the half-open box
 [-L, L)^d.  With the dual spacing pi/L this is an exact (shifted) DFT, so
 forward/inverse transforms round-trip to rounding error.  Frequencies are
 kept in monotone physical order; fftshift bookkeeping stays internal.
+
+Grid files are CSV.  The first line is the header
+
+    # n=<n> L=<L> d=<d>[ kind=<kind>]
+
+naming the AxisGrid (L printed with ``.17g``).  ``kind`` is absent for a
+function sampled on the grid, ``phase`` for a phase-space grid (its xi axis
+is the dual grid), and ``operator`` for an N x N operator matrix, N = n^d.
+Each following line is one row ``index...,re,im``: a function or phase grid
+has one index column ``i`` into its values flattened in C order (x-major
+for phase grids), an operator has two, ``r,c``.  Values are printed with
+``%.17g``, so a file reads back to the same doubles bit for bit (a NaN
+reads back as NaN).  The reader
+rejects with ``UwqError`` a missing or malformed header, an unexpected
+``kind``, malformed rows, a wrong column count, and an index set that is
+fractional, out of range, or does not cover every cell exactly once; rows
+may come in any order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +48,7 @@ __all__ = [
     "l2_norm",
     "phase_inner",
     "phase_l2_norm",
+    "save_grid",
     "save_function",
     "load_function",
     "save_phase",
@@ -204,61 +223,104 @@ def phase_l2_norm(F: PhaseFunctionGrid) -> float:
     return math.sqrt(max(0.0, phase_inner(F, F).real))
 
 
-def save_function(u: FunctionGrid, path) -> None:
-    """CSV with header ``# n=<n> L=<L> d=<d>`` and rows ``index,re,im``."""
-    flat = u.values.ravel()
+_HEADER_KEYS = ("n", "L", "d", "kind")
+_BLOCK_ROWS = 1024
+
+
+def save_grid(axis: AxisGrid, values: np.ndarray, path, kind=None) -> None:
+    """The one grid-file writer (format in the module docstring): the header
+    of ``axis`` and ``kind``, then one row per entry of ``values`` in C
+    order, with one index column per array axis."""
+    shape = values.shape
+    flat = values.reshape(-1)
+    row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
+    tail = f" kind={kind}" if kind else ""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={u.axis.n} L={u.axis.L:.17g} d={u.axis.d}\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
+        fh.write(f"# n={axis.n} L={axis.L:.17g} d={axis.d}{tail}\n")
+        # fixed blocks bound the memory: one string for a whole n=512
+        # operator added ~75 MB of peak RSS, 4096-row blocks ~0.8 MB and
+        # 1024-row blocks ~0.15 MB, at the same speed; per-block index
+        # arithmetic never builds an N^2-long index array
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            block = flat[start:start + _BLOCK_ROWS]
+            index = np.unravel_index(np.arange(start, start + block.size), shape)
+            cols = [i.tolist() for i in index] + [block.real.tolist(), block.imag.tolist()]
+            fh.write((row * block.size) % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
-def _parse_grid_header(line: str) -> dict:
+def _parse_header(line: str, kind) -> AxisGrid:
     if not line.startswith("#"):
         raise UwqError("grid CSV must start with a '# n=... L=... d=...' header")
     fields = {}
     for tok in line[1:].split():
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq or key not in _HEADER_KEYS or key in fields:
             raise UwqError(f"malformed header token {tok!r}")
-        k, v = tok.split("=", 1)
-        fields[k] = v
-    return fields
+        fields[key] = val
+    if fields.get("kind") != kind:
+        raise UwqError(f"expected a grid file with kind={kind or '(none)'}, "
+                       f"got kind={fields.get('kind') or '(none)'}")
+    try:
+        n, L, d = int(fields["n"]), float(fields["L"]), int(fields["d"])
+    except (KeyError, ValueError):
+        raise UwqError("grid header needs an integer n, a number L and an integer d") from None
+    if not math.isfinite(L):
+        raise UwqError(f"grid header L must be finite, got {L}")
+    return AxisGrid(n, L, d)
 
 
-def _load_csv(path):
+def _load_grid(path, kind, shape):
+    """The one grid-file reader.  Checks the header against ``kind`` and the
+    rows against ``shape(axis)``, the array they must fill exactly once;
+    returns the axis and that array."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_grid_header(fh.readline())
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    idx = data[:, 0].astype(int)
-    vals = np.empty(data.shape[0], dtype=complex)
-    vals[idx] = data[:, 1] + 1j * data[:, 2]
-    return header, vals
+        axis = _parse_header(fh.readline(), kind)
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as a wrong row count
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise UwqError(f"malformed grid row: {exc}") from None
+    cells = shape(axis)
+    size = math.prod(cells)
+    if data.shape[0] != size:
+        raise UwqError(f"grid file has {data.shape[0]} rows, its header needs {size}")
+    if data.shape[1] != len(cells) + 2:
+        raise UwqError(f"grid rows need {len(cells) + 2} columns, got {data.shape[1]}")
+    index = data[:, :-2]
+    if not np.all(index == np.floor(index)):
+        raise UwqError("grid index is not an integer")
+    if not np.all((index >= 0) & (index < cells)):
+        raise UwqError(f"grid index outside the {cells} array")
+    pos = np.ravel_multi_index(index.T.astype(np.intp), cells)
+    seen = np.zeros(size, dtype=bool)
+    seen[pos] = True
+    if not seen.all():
+        raise UwqError("grid rows do not cover every cell exactly once")
+    values = np.empty(size, dtype=complex)
+    values.real[pos] = data[:, -2]
+    values.imag[pos] = data[:, -1]
+    return axis, values.reshape(cells)
+
+
+def save_function(u: FunctionGrid, path) -> None:
+    """Write ``u`` as a grid file without a kind."""
+    save_grid(u.axis, u.values.reshape(-1), path)
 
 
 def load_function(path) -> FunctionGrid:
-    header, vals = _load_csv(path)
-    axis = AxisGrid(n=int(header["n"]), L=float(header["L"]), d=int(header["d"]))
-    if vals.size != axis.size:
-        raise UwqError("row count does not match n^d")
-    return FunctionGrid(axis, vals.reshape(axis.shape))
+    """Read a grid file written by ``save_function``."""
+    axis, values = _load_grid(path, None, lambda ax: (ax.size,))
+    return FunctionGrid(axis, values.reshape(axis.shape))
 
 
 def save_phase(a: PhaseFunctionGrid, path) -> None:
-    """Same CSV layout with both axes implied by the header (dual spacing
-    pi/L); marked kind=phase."""
-    flat = a.values.ravel()
-    ax = a.xaxis
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={ax.n} L={ax.L:.17g} d={ax.d} kind=phase\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
+    """Write ``a`` as a grid file of kind ``phase``."""
+    save_grid(a.xaxis, a.values.reshape(-1), path, "phase")
 
 
 def load_phase(path) -> PhaseFunctionGrid:
-    header, vals = _load_csv(path)
-    if header.get("kind") != "phase":
-        raise UwqError("not a phase-grid CSV (missing kind=phase)")
-    axis = AxisGrid(n=int(header["n"]), L=float(header["L"]), d=int(header["d"]))
-    if vals.size != axis.size**2:
-        raise UwqError("row count does not match n^(2d)")
-    return PhaseFunctionGrid(axis, vals.reshape(axis.shape * 2))
+    """Read a grid file written by ``save_phase``."""
+    axis, values = _load_grid(path, "phase", lambda ax: (ax.size**2,))
+    return PhaseFunctionGrid(axis, values.reshape(axis.shape * 2))

@@ -491,8 +491,6 @@ SUITES = {
     "weights": [criterion_weights],
 }
 
-SUITE_ORDER = ["stft", "quant245", "expansion", "tau", "compose", "gaussconv", "weights"]
-
 
 def run_suite(name: str, params: Optional[SuiteParams] = None) -> List[Report]:
     params = params or SuiteParams()
@@ -505,11 +503,11 @@ def run_suite(name: str, params: Optional[SuiteParams] = None) -> List[Report]:
         raise UwqError(f"verify criteria need n >= {MIN_N}, got n={params.n}; "
                        f"a coarser grid does not resolve their corpus")
     if name == "all":
-        fns = [fn for key in SUITE_ORDER for fn in SUITES[key]]
+        fns = [fn for suite in SUITES.values() for fn in suite]
     elif name in SUITES:
         fns = SUITES[name]
     else:
         raise UwqError(f"unknown suite {name!r}; choose from "
-                       f"{['all'] + SUITE_ORDER}")
+                       f"{['all', *SUITES]}")
     reports = [fn(params) for fn in fns]
     return sorted(reports, key=lambda r: r.name)

@@ -489,12 +489,19 @@ def load_weights(path) -> WeightSequence:
     if not lines:
         raise UwqError(f"empty weight file: {path}")
     head = lines[0].split()
+
+    def number(tok):
+        try:
+            return float(tok)
+        except ValueError:
+            raise UwqError(f"{path}: {tok!r} is not a number") from None
+
     if head[0] == "gevrey":
         if len(head) != 2 or not head[1].startswith("s="):
             raise UwqError("gevrey header must read: gevrey s=<real>")
-        return WeightSequence.gevrey(float(head[1][2:]))
+        return WeightSequence.gevrey(number(head[1][2:]))
     if head[0] == "explicit":
-        logs = np.array([float(v) for v in lines[1:]])
+        logs = np.array([number(v) for v in lines[1:]])
         return WeightSequence.explicit(log_values=logs)
     raise UwqError(f"unknown weight header {lines[0]!r}")
 

@@ -12,6 +12,7 @@ from uwq.grid import (
     AxisGrid,
     FunctionGrid,
     PhaseFunctionGrid,
+    _load_grid,
     load_function,
     load_phase,
     save_function,
@@ -51,10 +52,9 @@ def run(argv):
 
 
 def read_operator(path, size):
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    out = np.zeros((size, size), dtype=complex)
-    out[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2] + 1j * data[:, 3]
-    return out
+    axis, entries = _load_grid(path, "operator", lambda ax: (ax.size, ax.size))
+    assert axis.size == size
+    return entries
 
 
 @pytest.fixture
@@ -275,3 +275,24 @@ def test_negative_max_order_exits_2(files, theorem, capsys):
                 "--out", f("neg.csv")]) == 2
     assert "must be >= 0" in capsys.readouterr().err
     assert not Path(f("neg.csv")).exists()
+
+
+def test_missing_files_exit_2(files, capsys):
+    f = files
+    missing = f("missing.toml")
+    cases = [
+        ["expand", "--symbol", missing, "--theorem", "aw"],
+        ["osc-kernel", "--symbol", missing, "--chi", f("chi.csv"), "--deltas", "0.5"],
+        ["osc-kernel", "--symbol", f("p.toml"), "--chi", f("missing.csv"), "--deltas", "0.5"],
+        ["stft", "--in", f("missing.csv"), "--out", f("x.csv")],
+        ["weights", "--weights-file", f("missing.txt")],
+        ["expand", "--symbol", f("p.toml"), "--theorem", f"compose:{missing}"],
+        ["quantize", "--symbol", f("p.toml"), "--tau", 0.5, "--n", N, "--L", L,
+         "--out", f("no/such/dir/op.csv")],
+        ["expand", "--symbol", f("p.toml"), "--theorem", "aw", "--out", f("no/such/dir/e.csv")],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err, argv
+    assert not Path(f("x.csv")).exists()

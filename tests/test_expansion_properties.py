@@ -1,0 +1,76 @@
+"""Property tests of the exact polynomial calculus laws; they need hypothesis.
+
+On polynomials every law holds exactly, so the only defect is rounding.  It
+is bounded relative to the largest coefficient of the inputs, the results
+and every intermediate, because cancellation from that scale is what
+rounding leaves behind.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from uwq.expansion import (  # noqa: E402
+    PolySymbol,
+    compose_terms,
+    heat_quarter,
+    poly_allclose,
+    tau_change_terms,
+    transpose_terms,
+)
+
+TOL = 1e-12
+MAX_DEGREE = 4
+
+coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                                  allow_nan=False, allow_infinity=False)
+taus = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False, allow_infinity=False)
+dims = st.sampled_from([1, 2])
+
+
+@st.composite
+def polys(draw, d):
+    exponents = st.tuples(*[st.integers(0, MAX_DEGREE)] * (2 * d))
+    terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=6))
+    return PolySymbol(d, {(e[:d], e[d:]): c for e, c in terms.items()})
+
+
+def close(p, q, *seen):
+    """p == q up to TOL times the largest coefficient of p, q and ``seen``."""
+    scale = max(abs(c) for r in (p, q, *seen) for c in r.terms.values())
+    return poly_allclose(p, q, rtol=0.0, atol=TOL * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=dims)
+def test_heat_quarter_signs_are_mutual_inverses(data, d):
+    a = data.draw(polys(d))
+    up, down = heat_quarter(a, +1), heat_quarter(a, -1)
+    assert close(heat_quarter(up, -1), a, up)
+    assert close(heat_quarter(down, +1), a, down)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=dims, t1=taus, t2=taus, t3=taus)
+def test_tau_change_group_law(data, d, t1, t2, t3):
+    a = data.draw(polys(d))
+    via = tau_change_terms(a, t1, t2)
+    assert close(tau_change_terms(via, t2, t3), tau_change_terms(a, t1, t3), a, via)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=dims, tau=taus)
+def test_transpose_is_an_involution(data, d, tau):
+    a = data.draw(polys(d))
+    once = transpose_terms(a, tau)
+    assert close(transpose_terms(once, tau), a, once)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=dims)
+def test_composition_is_associative(data, d):
+    a, b, c = (data.draw(polys(d)) for _ in range(3))
+    ab, bc = compose_terms(a, b), compose_terms(b, c)
+    assert close(compose_terms(ab, c), compose_terms(a, bc), a, b, c, ab, bc)

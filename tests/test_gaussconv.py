@@ -11,6 +11,7 @@ from uwq.gaussconv import (
     conv_gauss_via_laplace,
     laplace,
     oscillatory_kernel,
+    smoothed_gaussian_symbol,
 )
 from uwq.grid import AxisGrid, FunctionGrid
 
@@ -56,3 +57,16 @@ def test_oscillatory_kernel_of_symbol_one():
     exact = sigma * math.sqrt(math.pi) * math.exp(-((x0 - y0) ** 2) / (4.0 * sigma**2))
     assert abs(rep.extrapolated - exact) <= 1e-8 * exact
     assert all(d1 > d2 for d1, d2 in zip(rep.diffs, rep.diffs[1:]))
+
+
+def test_smoothed_gaussian_symbol_closed_form():
+    # the heat flow exp(d_xi^2 / 4) takes xi^2 to xi^2 + 1/2
+    l = 0.5
+    sym = smoothed_gaussian_symbol(l, PolySymbol.xi() * PolySymbol.xi())
+    m, k = np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 3.0, 7)
+    np.testing.assert_allclose(sym.fx(m), np.exp(m**2) * math.sqrt(2.0), rtol=1e-15)
+    np.testing.assert_allclose(sym.fxi(k), k**2 + 0.5, rtol=1e-15)
+    for l, P in [(1.0, PolySymbol.xi()), (0.5, PolySymbol.x()),
+                 (0.5, PolySymbol.xi(0, d=2))]:
+        with pytest.raises(UwqError):
+            smoothed_gaussian_symbol(l, P)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uwq.cli import main
 from uwq.errors import UwqError
 from uwq.grid import (
     AxisGrid,
@@ -17,7 +18,9 @@ from uwq.grid import (
     load_phase,
     quadrature,
     save_function,
+    save_grid,
     save_phase,
+    _load_grid,
 )
 
 
@@ -171,18 +174,103 @@ class TestSerialization:
         assert back.xaxis == ax
         np.testing.assert_allclose(back.values, a.values, rtol=0, atol=1e-16)
 
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1.0,0.0\n")
-        with pytest.raises(UwqError):
-            load_function(path)
+    def test_header_required(self, tmp_path, capsys):
+        rows = "0,1,0\n1,1,0\n"
+        for text in [
+            rows,
+            "# L=1 d=1\n" + rows,
+            "# n=2 d=1\n" + rows,
+            "# n=2 L=1\n" + rows,
+            "# n=two L=1 d=1\n" + rows,
+            "# n=2.0 L=1 d=1\n" + rows,
+            "# n=2 L=abc d=1\n" + rows,
+            "# n=2 L=inf d=1\n" + rows,
+            "# n=2 L=1 d=x\n" + rows,
+            "# n=2 L=1 d=1 n=4\n" + rows,
+            "# n=2 L=1 d=1 m=3\n" + rows,
+            "# n=2 L=1 d=1 junk\n" + rows,
+        ]:
+            assert_rejected(tmp_path, capsys, text, load_function, ["stft"])
 
-    def test_phase_kind_enforced(self, axis, tmp_path):
+    def test_phase_kind_enforced(self, axis, tmp_path, capsys):
         u = band_limited(axis, 6)
         path = tmp_path / "u.csv"
         save_function(u, path)
-        with pytest.raises(UwqError):
-            load_phase(path)
+        assert_rejected(tmp_path, capsys, path.read_text(), load_phase, ["stft", "--inverse"])
+        # a phase grid and an operator where a function is expected; the
+        # n=2 operator has N^2 = 4 rows, as many as a phase grid
+        phase = "# n=2 L=1 d=1 kind=phase\n" + "".join(f"{i},1,0\n" for i in range(4))
+        operator = "# n=2 L=1 d=1 kind=operator\n0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n"
+        for text in [phase, operator, "# n=2 L=1 d=1 kind=\n0,1,0\n1,1,0\n"]:
+            assert_rejected(tmp_path, capsys, text, load_function, ["stft"])
+        assert_rejected(tmp_path, capsys, operator, load_phase, ["stft", "--inverse"])
+
+    def test_malformed_rows_rejected(self, tmp_path, capsys):
+        head = "# n=2 L=1 d=1\n"
+        for body in [
+            "",
+            "0,1,0\n",
+            "0,1,0\n1,1,0\n2,1,0\n",
+            "0,1,0\n1,abc,0\n",
+            "0,1,0\n1,1\n",
+            "0,1,0,0\n1,1,0,0\n",
+            "0;1;0\n1;1;0\n",
+            "0,1,0\n0.5,1,0\n",
+            "0,1,0\nnan,1,0\n",
+            "0,1,0\n-1,1,0\n",
+            "0,1,0\n2,1,0\n",
+            "0,1,0\ninf,1,0\n",
+            "0,1,0\n0,1,0\n",
+            "# comment\n0,1,0\n",
+        ]:
+            assert_rejected(tmp_path, capsys, head + body, load_function, ["stft"])
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("# n=2 L=1 d=1\n1,-0,5e-324\n0,1.5,-2\n")
+        u = load_function(path)
+        assert u.axis == AxisGrid(2, 1.0, 1)
+        assert [float.hex(v) for z in u.values for v in (z.real, z.imag)] == [
+            float.hex(1.5), float.hex(-2.0), float.hex(-0.0), float.hex(5e-324)]
+
+    def test_operator_rows(self, tmp_path):
+        ax = AxisGrid(4, 2.0, 1)
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        path = tmp_path / "op.csv"
+        save_grid(ax, M, path, "operator")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# n=4 L=2 d=1 kind=operator"
+        assert lines[1 + 4 * 2 + 3] == f"2,3,{M[2, 3].real:.17g},{M[2, 3].imag:.17g}"
+        back_axis, back = _load_grid(path, "operator", lambda a: (a.size, a.size))
+        assert back_axis == ax and np.array_equal(back, M)
+
+    def test_blocks_join_seamlessly(self, tmp_path):
+        # many formatting blocks; the small files elsewhere fill part of one
+        ax = AxisGrid(128, 5.0, 1)
+        rng = np.random.default_rng(5)
+        a = PhaseFunctionGrid(ax, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+        path = tmp_path / "a.csv"
+        save_phase(a, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 128 * 128
+        flat = a.values.ravel()
+        assert all(line == f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}"
+                   for i, line in enumerate(lines[1:]))
+        assert np.array_equal(load_phase(path).values, a.values)
+
+
+def assert_rejected(tmp_path, capsys, text, load, command):
+    """``load`` raises UwqError on a file holding ``text``, and the CLI
+    command reading it exits 2 with a one-line error and writes nothing."""
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(UwqError):
+        load(path)
+    out = tmp_path / "out.csv"
+    assert main(command + ["--in", str(path), "--out", str(out)]) == 2, text
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestTwoDimensions:

@@ -38,3 +38,10 @@ def test_coarse_grid_rejected(n, capsys):
             run_suite(suite, SuiteParams(n=n))
     assert main(["verify", "--n", str(n), "--suite", "stft"]) == 2
     assert capsys.readouterr().err.startswith("error: verify criteria need n >= 32")
+
+
+def test_unknown_suite_names_the_suites():
+    with pytest.raises(UwqError) as exc:
+        run_suite("nope")
+    assert str(exc.value) == ("unknown suite 'nope'; choose from ['all', 'stft', 'quant245', "
+                              "'expansion', 'tau', 'compose', 'gaussconv', 'weights']")

@@ -394,9 +394,10 @@ class TestIO:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.txt"
-        path.write_text("mystery 2\n")
-        with pytest.raises(UwqError):
-            load_weights(path)
+        for text in ["mystery 2\n", "gevrey s=abc\n", "explicit\n0\nabc\n"]:
+            path.write_text(text)
+            with pytest.raises(UwqError):
+                load_weights(path)
 
     def test_m0_must_be_one(self):
         with pytest.raises(UwqError):
