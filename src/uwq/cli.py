@@ -187,6 +187,26 @@ _ALLOWED_KEYS = {
 }
 
 
+def _schema_int(v, what: str) -> int:
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{what} must be an integer, got {v!r}") from None
+    if i != v:
+        raise SchemaError(f"{what} must be an integer, got {v!r}")
+    return i
+
+
+def _schema_float(v, what: str) -> float:
+    try:
+        f = float(v)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a number, got {v!r}") from None
+    if not math.isfinite(f):
+        raise SchemaError(f"{what} must be finite, got {v!r}")
+    return f
+
+
 def _spec_from_dict(data: dict) -> SymbolSpec:
     if "kind" not in data:
         raise SchemaError("missing required field 'kind'")
@@ -201,7 +221,7 @@ def _spec_from_dict(data: dict) -> SymbolSpec:
         raise SchemaError(f"missing fields for kind={kind}: {sorted(missing)}")
     if kind == "grid":
         return SymbolSpec(kind="grid", path=str(data["path"]))
-    d = int(data["d"])
+    d = _schema_int(data["d"], "d")
     if d < 1:
         raise SchemaError("d must be a positive integer")
     terms = data["terms"]
@@ -213,11 +233,13 @@ def _spec_from_dict(data: dict) -> SymbolSpec:
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"each term row needs {width} entries "
                               f"({'2d' if kind == 'poly' else 'd'} exponents, re, im)")
-        if any(int(v) < 0 or int(v) != v for v in row[:-2]):
+        exps = [_schema_int(v, "each exponent") for v in row[:-2]]
+        if any(e < 0 for e in exps):
             raise SchemaError("exponents must be non-negative integers")
-        rows.append(tuple(float(v) for v in row))
+        coeffs = [_schema_float(v, "coefficients") for v in row[-2:]]
+        rows.append(tuple(float(e) for e in exps) + tuple(coeffs))
     if kind == "example5":
-        l = float(data["l"])
+        l = _schema_float(data["l"], "l")
         if l >= 1.0:
             raise SchemaError("example5 requires l < 1")
         return SymbolSpec(kind="example5", d=d, terms=tuple(rows), l=l)

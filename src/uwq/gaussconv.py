@@ -6,6 +6,15 @@ oscillatory-integral kernel pairing.
 Densities are represented by Gauss-Legendre nodes and weights on their
 support box; every integrand below is analytic (or endpoint-flat) there, so
 quadrature error sits far below the identity tolerances.
+
+The oscillatory pairing samples chi on an n x n grid of step dx, so its
+phase e^{i(x_a - y_b) xi} depends only on the difference class a - b.  On
+the lattice xi_k = 2 pi k / (M dx), k = -M/2 .. M/2 - 1, with M the smallest
+power of two with M >= 2n and a step of at most MAX_XI_STEP, one inverse FFT
+of the difference-class sums gives the xi transform exactly at every node:
+O(n^2 + M log M) per separable term.  That transform is 2 pi/dx-periodic, so
+a ladder is accepted only if psi(delta_min xi) vanishes at the lattice edge
+|xi| = pi/dx (the band condition); otherwise the xi sum would alias.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ __all__ = [
 ]
 
 _EXP_LIMIT = 700.0  # ln(double max) with margin
+MAX_XI_STEP = 0.05  # largest xi step of the oscillatory pairing's lattice
 
 
 def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
@@ -282,13 +292,11 @@ def _symbol_terms(b):
             terms.append((lambda m, p=px: m**p,
                           lambda k, p=pk, cc=c: cc * k**p))
         return terms
-    if callable(b):
-        return None  # dense path
-    raise UwqError("symbol must be a PolySymbol, SeparableSymbol, or callable")
+    raise UwqError("symbol must be a PolySymbol or SeparableSymbol")
 
 
 def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
-                       psi: Callable = None, xi_spacing: float = 0.05) -> OscillatoryReport:
+                       psi: Callable = None) -> OscillatoryReport:
     """Pairing of the regularized quantization kernel with a test function:
 
         (2 pi)^{-1} intg e^{i(x-y)xi} psi(delta xi) b((x+y)/2, xi)
@@ -299,8 +307,14 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
     a smooth compactly supported plateau equal to 1 near 0; its support
     bounds the xi quadrature exactly, which is what makes fixed boxes sound.
 
-    chi is sampled on a two-dimensional grid (the (x, y) box); b may be a
-    PolySymbol in (x, xi), a SeparableSymbol, or a callable b(m, xi).
+    chi is sampled on a two-dimensional (x, y) grid of step dx; b is a
+    PolySymbol in (x, xi) or a SeparableSymbol.  Per separable term
+    fx(m) fxi(xi), the difference-class sums S[r] = sum_{a-b=r} chi[a, b]
+    fx(mid_ab) give T(xi_k) = fxi(xi_k) dx^2 sum_r S[r] e^{2 pi i r k/M}, one
+    inverse FFT on the lattice xi_k = 2 pi k/(M dx) (see the module
+    docstring for M); the xi integral is the lattice sum, O(n^2 + M log M)
+    in all.  UwqError if psi(delta_min xi) is nonzero at |xi| = pi/dx, where
+    the periodic T would alias.
     """
     if chi.axis.d != 2:
         raise UwqError("chi must be sampled on a 2-d (x, y) grid")
@@ -309,27 +323,28 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
         raise UwqError("delta ladder must be strictly decreasing")
     if psi is None:
         psi = smooth_cutoff
-    pts = chi.axis.points()
-    dxy = chi.axis.dx
-    ximax = 2.0 / deltas[-1]
-    K = int(math.ceil(ximax / xi_spacing))
-    xi = np.arange(-K, K + 1) * xi_spacing
-    mid = 0.5 * (pts[:, None] + pts[None, :])
-
     terms = _symbol_terms(b)
-    T = np.zeros(xi.size, dtype=complex)
-    E = np.exp(1j * np.outer(pts, xi))  # (n, K)
-    if terms is not None:
-        for fx, fxi in terms:
-            Wt = chi.values * fx(mid)
-            P = Wt @ np.conj(E)           # (n, K)
-            T += fxi(xi) * np.einsum("nk,nk->k", E, P)
-    else:
-        # dense path: evaluate b on the midpoint mesh per frequency
-        for k in range(xi.size):
-            Wt = chi.values * b(mid, xi[k])
-            T[k] = np.einsum("n,m,nm->", E[:, k], np.conj(E[:, k]), Wt)
-    T *= dxy * dxy
+    n, dx = chi.axis.n, chi.axis.dx
+    edge = math.pi / dx
+    if np.any(psi(deltas[-1] * np.array([-edge, edge])) != 0.0):
+        raise UwqError(f"psi(delta xi) at delta={deltas[-1]:g} does not vanish at the "
+                       f"grid's xi band edge pi/dx = {edge:.6g}; use a larger delta or "
+                       f"a finer chi grid")
+    M = 2 * n  # the smallest power of two >= 2n with a step <= MAX_XI_STEP
+    while M * dx * MAX_XI_STEP < 2.0 * math.pi:
+        M *= 2
+    xi = 2.0 * math.pi * np.fft.fftfreq(M, dx)
+    pts = chi.axis.points()
+    mid = 0.5 * (pts[:, None] + pts[None, :])
+    ar = np.arange(n)
+    cls = ((ar[:, None] - ar[None, :]) % M).ravel()
+
+    T = np.zeros(M, dtype=complex)
+    for fx, fxi in terms:
+        Wt = (chi.values * fx(mid)).ravel()
+        S = np.bincount(cls, Wt.real, M) + 1j * np.bincount(cls, Wt.imag, M)
+        T += fxi(xi) * np.fft.ifft(S)
+    T *= M * dx * dx
 
     if not np.all(np.isfinite(T)):
         raise OverflowDomainError("oscillatory integrand overflowed")
@@ -337,7 +352,7 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
     values = []
     for dl in deltas:
         w = psi(dl * xi)
-        values.append(complex(xi_spacing / (2.0 * math.pi) * np.sum(w * T)))
+        values.append(complex(np.sum(w * T) / (M * dx)))
     diffs = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
     order = None
     extrap = values[-1]

@@ -41,6 +41,8 @@ __all__ = [
     "save_weights",
 ]
 
+_BLOCK_BYTES = 1 << 20  # row blocks of the ultrapolynomial factor table
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -375,6 +377,26 @@ def ultrapoly_min_factors(w: WeightSequence, l: float, q: int, zmax: float,
     return max(1, int(math.ceil(j_end)) - q + 2)
 
 
+def _log_factor_sums(P: Ultrapolynomial, abs_z) -> np.ndarray:
+    """sum_j log1p(|z|^2 / (l_j m_j)^2) for each entry of the 1-d array |z|,
+    the log of the truncated product at real z; 0 where |z| = 0.  Runs in
+    row blocks of at most _BLOCK_BYTES, and each row is bitwise the sum the
+    scalar product takes."""
+    abs_z = np.asarray(abs_z, dtype=float)
+    log_m = P.log_m()
+    log_l = P.log_scales()
+    out = np.zeros(abs_z.size)
+    nonzero = np.flatnonzero(abs_z)
+    # math.log per point: np.log may differ from it in the last bit
+    log_z = np.array([math.log(v) for v in abs_z[nonzero].tolist()])
+    rows = max(1, _BLOCK_BYTES // (8 * log_m.size))
+    for start in range(0, nonzero.size, rows):
+        block = slice(start, start + rows)
+        t = np.exp(2.0 * (log_z[block, None] - log_l - log_m))
+        out[nonzero[block]] = np.sum(np.log1p(t), axis=1)
+    return out
+
+
 def ultrapoly_eval(P: Ultrapolynomial, z: complex, strict: bool = True,
                    tail_correction: bool = False) -> complex:
     """Product of the first J factors at the point z.
@@ -392,18 +414,15 @@ def ultrapoly_eval(P: Ultrapolynomial, z: complex, strict: bool = True,
             raise TailBoundError(
                 "dropped tail exceeds 1e-12 for this z; increase the factor count"
             )
-    log_m = P.log_m()
-    log_l = P.log_scales()
     if z.imag == 0.0:
         # real z: every factor >= 1; sum logs for stability at large J
-        t = np.exp(2.0 * (math.log(abs_z) - log_l - log_m)) if abs_z > 0 else np.zeros(1)
-        total = float(np.sum(np.log1p(t)))
+        total = float(_log_factor_sums(P, [abs_z])[0])
         if tail_correction:
             total += _tail_log_correction(P, abs_z)
         return complex(math.exp(total))
     if tail_correction:
         raise UwqError("tail correction is only defined for real arguments")
-    factors = 1.0 + (z * z) * np.exp(-2.0 * (log_l + log_m))
+    factors = 1.0 + (z * z) * np.exp(-2.0 * (P.log_scales() + P.log_m()))
     return complex(np.prod(factors))
 
 
@@ -457,11 +476,14 @@ def verify_ultrapoly_bound(
     if np.any(res.saturated):
         raise SaturationError("associated function saturated on the bound-check grid")
     m_val[nonzero] = res.value
+    log_sums = _log_factor_sums(P, ax)
     best = math.inf
     arg = 0
-    for i, x in enumerate(ax):
-        val = ultrapoly_eval(P, complex(x), strict=False, tail_correction=True)
-        log_ratio = math.log(abs(val)) - m_val[i]
+    for i, x in enumerate(ax.tolist()):
+        # the scalar steps of log|ultrapoly_eval(P, x)| with tail correction,
+        # so the check agrees with the pointwise product bit for bit
+        total = float(log_sums[i]) + _tail_log_correction(P, x)
+        log_ratio = math.log(math.exp(total)) - m_val[i]
         ratio = math.exp(log_ratio) if log_ratio > -700 else 0.0
         if ratio < best:
             best, arg = ratio, i

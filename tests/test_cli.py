@@ -296,3 +296,34 @@ def test_missing_files_exit_2(files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err, argv
     assert not Path(f("x.csv")).exists()
+
+
+def test_malformed_symbol_files_exit_2(files, capsys):
+    f = files
+    bad = {
+        "d_abc.toml": 'kind = "poly"\nd = "abc"\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "d_frac.toml": 'kind = "poly"\nd = 1.5\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "exp_a.toml": 'kind = "poly"\nd = 1\nterms = [["a", 1, 1.0, 0.0]]\n',
+        "coef_x.toml": 'kind = "poly"\nd = 1\nterms = [[1, 1, "x", 0.0]]\n',
+        "l_q.toml": 'kind = "example5"\nd = 1\nl = "q"\nterms = [[2, 1.0, 0.0]]\n',
+        "l_inf.toml": 'kind = "example5"\nd = 1\nl = -1e999\nterms = [[2, 1.0, 0.0]]\n',
+        "l_nan.json": '{"kind": "example5", "d": 1, "l": NaN, "terms": [[2, 1.0, 0.0]]}\n',
+    }
+    for name, text in bad.items():
+        Path(f(name)).write_text(text)
+        for argv in (["expand", "--symbol", f(name), "--theorem", "aw"],
+                     ["osc-kernel", "--symbol", f(name), "--chi", f("chi.csv"),
+                      "--deltas", "0.5,0.25"]):
+            assert run(argv) == 2, (name, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, (name, err)
+
+
+def test_osc_kernel_rejects_unresolved_band(files, capsys):
+    # chi.csv has n=16, L=2.5: the band edge pi/dx = 10.05 lies inside the
+    # support 2/delta = 40 of psi(0.05 xi)
+    f = files
+    assert run(["osc-kernel", "--symbol", f("p.toml"), "--chi", f("chi.csv"),
+                "--deltas", "0.5,0.05", "--out", f("osc.csv")]) == 2
+    assert "band edge" in capsys.readouterr().err
+    assert not Path(f("osc.csv")).exists()

@@ -20,6 +20,7 @@ from uwq.weights import (
     ultrapoly_min_factors,
     verify_ultrapoly_bound,
 )
+from uwq.weights import _BLOCK_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +338,54 @@ def wide():
     return WeightSequence.gevrey(2.0, truncation=192)
 
 
+# points where numpy's array log and math.log differ in the last bit
+LOG_EDGE = [float.fromhex(h) for h in ("0x1.3f2b50e263e6dp+2", "0x1.5e3e7f4de55a8p+4",
+                                       "0x1.06382e26cfa0ap+5")]
+
+
+def pointwise_bound(P, k, grid, floor=1e-8):
+    """The lower-bound check as one ultrapoly_eval call per grid point."""
+    best, arg = math.inf, 0
+    for i, x in enumerate(np.abs(np.asarray(grid, dtype=float))):
+        m = float(assoc_fn(P.weight, x / k).value) if x else 0.0
+        val = ultrapoly_eval(P, complex(x), strict=False, tail_correction=True)
+        log_ratio = math.log(abs(val)) - m
+        ratio = math.exp(log_ratio) if log_ratio > -700 else 0.0
+        if ratio < best:
+            best, arg = ratio, i
+    return best.hex(), arg, best >= floor
+
+
+def scalar_log_product(P, x):
+    """log of the truncated product at real x >= 0, one point at a time."""
+    if x == 0.0:
+        return 0.0
+    t = np.exp(2.0 * (math.log(x) - P.log_scales() - P.log_m()))
+    return float(np.sum(np.log1p(t)))
+
+
 class TestLowerBound:
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("truncation", [20000, 5000])
+    def test_array_check_matches_pointwise(self, s, truncation):
+        # one block holds 6 rows at J = 20000 and 26 at J = 5000, so both
+        # grids cross block boundaries; x = 0 sits inside the first grid
+        P = Ultrapolynomial(weight=WeightSequence.gevrey(s, truncation=192), scale=1.0,
+                            q=1, truncation=truncation)
+        assert _BLOCK_BYTES // (8 * truncation) < 45
+        for grid in (np.linspace(-5.0, 50.0, 45), np.r_[np.linspace(0.1, 50.0, 150), LOG_EDGE]):
+            for k in (0.25, 1.0, 4.0):
+                rep = verify_ultrapoly_bound(P, k, grid)
+                assert (rep.C_tilde.hex(), rep.argmin, rep.ok) == pointwise_bound(P, k, grid)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_eval_matches_scalar_product(self, s):
+        P = Ultrapolynomial(weight=WeightSequence.gevrey(s, truncation=192), scale=1.0,
+                            q=1, truncation=20000)
+        for x in np.r_[np.linspace(0.0, 50.0, 40), LOG_EDGE]:
+            got = ultrapoly_eval(P, x, strict=False)
+            assert got.real.hex() == math.exp(scalar_log_product(P, x)).hex()
 
     def test_saturation_raises(self):
         P = Ultrapolynomial(weight=WeightSequence.gevrey(2.0, truncation=8), scale=1.0,
