@@ -1,10 +1,18 @@
 """Command-line interface: one subcommand per module plus a ``verify``
 driver for the full identity suite.
 
-Symbol and density specs are tiny config files in a minimal key/value
-syntax (a strict TOML subset whose grammar is the docstring of
-``parse_config``) or JSON; parsing is deliberately hand-rolled and
-auditable, with schema violations enumerated rather than defaulted.
+A symbol file (``--symbol``, ``compose:PATH``) is JSON when its first
+non-blank character is ``{``, TOML 1.0 otherwise.  Its string field ``kind`` fixes the other
+fields, all required:
+
+- ``poly``: an integer ``d >= 1`` and ``terms``, a non-empty array of rows:
+  d xi exponents, d x exponents, then re and im of the coefficient.
+- ``grid``: a string ``path`` to a phase-grid CSV, which fixes the grid.
+- ``example5``: ``d``, a finite ``l < 1`` and ``terms`` rows of d xi
+  exponents, re and im: exp(l |x|^2) P(xi), read by ``osc-kernel`` only.
+
+Exponents are non-negative integers and coefficients finite numbers, never
+booleans or strings.  Anything else is a ``SchemaError``, never a default.
 
 Each subcommand declares only the options it reads.  An option that applies
 on one path only is rejected with ``UwqError`` (exit status 2) on the other.
@@ -16,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+import tomllib
 from typing import List, Optional
 
 import numpy as np
@@ -33,6 +41,7 @@ from .expansion import (
 )
 from .gaussconv import (
     CompactDensity,
+    SeparableSymbol,
     conv_gauss_direct,
     conv_gauss_via_laplace,
     laplace,
@@ -42,6 +51,7 @@ from .gaussconv import (
 from .grid import (
     AxisGrid,
     FunctionGrid,
+    PhaseFunctionGrid,
     load_function,
     load_phase,
     save_function,
@@ -58,126 +68,7 @@ from .stft import stft, stft_adjoint
 from .suites import Report, SuiteParams, run_suite, report_header
 from .weights import WeightSequence, assoc_fn, check_conditions, load_weights
 
-__all__ = ["SymbolSpec", "parse_config", "load_symbol", "emit_report", "build_parser", "main"]
-
-
-# ---------------------------------------------------------------------------
-# minimal config parsing
-# ---------------------------------------------------------------------------
-
-def _parse_scalar(tok: str, lineno: int):
-    tok = tok.strip()
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return tok[1:-1]
-    if tok in ("true", "false"):
-        return tok == "true"
-    try:
-        if any(c in tok for c in ".eE") and not tok.startswith("0x"):
-            return float(tok)
-        return int(tok)
-    except ValueError:
-        raise SchemaError(f"line {lineno}: cannot parse value {tok!r}")
-
-
-def _parse_array(text: str, lineno: int):
-    # nested arrays of scalars; text includes the surrounding brackets
-    pos = 0
-
-    def parse(p):
-        if text[p] != "[":
-            raise SchemaError(f"line {lineno}: expected '['")
-        p += 1
-        out = []
-        buf = ""
-        while p < len(text):
-            c = text[p]
-            if c == "[":
-                sub, p = parse(p)
-                out.append(sub)
-            elif c in ",]":
-                if buf.strip():
-                    out.append(_parse_scalar(buf, lineno))
-                buf = ""
-                if c == "]":
-                    return out, p + 1
-                p += 1
-            else:
-                buf += c
-                p += 1
-        raise SchemaError(f"line {lineno}: unterminated array")
-
-    out, p = parse(pos)
-    if text[p:].strip():
-        raise SchemaError(f"line {lineno}: trailing characters after array")
-    return out
-
-
-def parse_config(text: str) -> dict:
-    """Parse the documented key/value subset: ``key = value`` per line,
-    values are strings, numbers, booleans, or (nested) arrays; ``#`` starts
-    a comment; arrays may span lines until brackets balance."""
-    out = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        raw = lines[i]
-        line = raw.split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        if "=" not in line:
-            raise SchemaError(f"line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        val = val.strip()
-        if not key.isidentifier():
-            raise SchemaError(f"line {lineno}: bad key {key!r}")
-        if key in out:
-            raise SchemaError(f"line {lineno}: duplicate key {key!r}")
-        if val.startswith("["):
-            while val.count("[") != val.count("]"):
-                if i >= len(lines):
-                    raise SchemaError(f"line {lineno}: unterminated array")
-                val += lines[i].split("#", 1)[0]
-                i += 1
-            out[key] = _parse_array(val, lineno)
-        else:
-            out[key] = _parse_scalar(val, lineno)
-    return out
-
-
-@dataclass(frozen=True)
-class SymbolSpec:
-    """Phase-space symbol description: exactly one payload is populated.
-
-    kind="poly":     d, terms (rows of 2d exponents then re, im)
-    kind="grid":     path to a phase-grid CSV
-    kind="example5": l < 1 and terms for a polynomial in xi only
-                     (rows of d exponents then re, im)
-    """
-
-    kind: str
-    d: int = 1
-    terms: Optional[tuple] = None
-    path: Optional[str] = None
-    l: Optional[float] = None
-
-    def poly(self) -> PolySymbol:
-        if self.kind == "poly":
-            out = {}
-            for row in self.terms:
-                ke = tuple(int(v) for v in row[: self.d])
-                xe = tuple(int(v) for v in row[self.d : 2 * self.d])
-                out[(xe, ke)] = out.get((xe, ke), 0.0) + complex(row[-2], row[-1])
-            return PolySymbol(self.d, out)
-        if self.kind == "example5":
-            out = {}
-            for row in self.terms:
-                ke = tuple(int(v) for v in row[: self.d])
-                out[(((0,) * self.d), ke)] = out.get((((0,) * self.d), ke), 0.0) + complex(row[-2], row[-1])
-            return PolySymbol(self.d, out)
-        raise SchemaError(f"spec of kind {self.kind!r} has no polynomial payload")
+__all__ = ["load_symbol", "emit_report", "build_parser", "main"]
 
 
 _ALLOWED_KEYS = {
@@ -188,30 +79,33 @@ _ALLOWED_KEYS = {
 
 
 def _schema_int(v, what: str) -> int:
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{what} must be an integer, got {v!r}") from None
-    if i != v:
-        raise SchemaError(f"{what} must be an integer, got {v!r}")
-    return i
+    # bool is an int subclass, so true/false would read as 1/0
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise SchemaError(f"{what} must be an integer, got {v!r}")
 
 
 def _schema_float(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {v!r}")
     try:
         f = float(v)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what} must be a number, got {v!r}") from None
+    except OverflowError:
+        f = math.inf
     if not math.isfinite(f):
         raise SchemaError(f"{what} must be finite, got {v!r}")
     return f
 
 
-def _spec_from_dict(data: dict) -> SymbolSpec:
+def _symbol_from_dict(data: dict):
+    """The symbol a parsed symbol file describes, after the schema checks of
+    the module docstring."""
     if "kind" not in data:
         raise SchemaError("missing required field 'kind'")
     kind = data["kind"]
-    if kind not in _ALLOWED_KEYS:
+    if not isinstance(kind, str) or kind not in _ALLOWED_KEYS:
         raise SchemaError(f"unknown kind {kind!r}; expected poly, grid, or example5")
     extra = set(data) - _ALLOWED_KEYS[kind]
     if extra:
@@ -220,7 +114,9 @@ def _spec_from_dict(data: dict) -> SymbolSpec:
     if missing:
         raise SchemaError(f"missing fields for kind={kind}: {sorted(missing)}")
     if kind == "grid":
-        return SymbolSpec(kind="grid", path=str(data["path"]))
+        if not isinstance(data["path"], str):
+            raise SchemaError(f"path must be a string, got {data['path']!r}")
+        return load_phase(data["path"])
     d = _schema_int(data["d"], "d")
     if d < 1:
         raise SchemaError("d must be a positive integer")
@@ -228,7 +124,7 @@ def _spec_from_dict(data: dict) -> SymbolSpec:
     if not isinstance(terms, list) or not terms:
         raise SchemaError("terms must be a non-empty array of rows")
     width = (2 * d if kind == "poly" else d) + 2
-    rows = []
+    coeffs = {}
     for row in terms:
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"each term row needs {width} entries "
@@ -236,28 +132,30 @@ def _spec_from_dict(data: dict) -> SymbolSpec:
         exps = [_schema_int(v, "each exponent") for v in row[:-2]]
         if any(e < 0 for e in exps):
             raise SchemaError("exponents must be non-negative integers")
-        coeffs = [_schema_float(v, "coefficients") for v in row[-2:]]
-        rows.append(tuple(float(e) for e in exps) + tuple(coeffs))
+        re, im = (_schema_float(v, "coefficients") for v in row[-2:])
+        # a row lists the xi exponents first, then (poly only) the x exponents
+        key = (tuple(exps[d:]) if kind == "poly" else (0,) * d, tuple(exps[:d]))
+        coeffs[key] = coeffs.get(key, 0.0) + complex(re, im)
+    P = PolySymbol(d, coeffs)
     if kind == "example5":
         l = _schema_float(data["l"], "l")
         if l >= 1.0:
             raise SchemaError("example5 requires l < 1")
-        return SymbolSpec(kind="example5", d=d, terms=tuple(rows), l=l)
-    return SymbolSpec(kind="poly", d=d, terms=tuple(rows))
+        return smoothed_gaussian_symbol(l, P)
+    return P
 
 
-def load_symbol(path) -> SymbolSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"JSON parse error: {exc}") from exc
-    else:
-        data = parse_config(text)
-    return _spec_from_dict(data)
+def load_symbol(path):
+    """The symbol of a symbol file: a ``PolySymbol`` (poly), the
+    ``PhaseFunctionGrid`` it points to (grid), or the ``SeparableSymbol`` of
+    the Gaussian smoothing of exp(l x^2) P(xi) (example5)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text) if text.lstrip().startswith("{") else tomllib.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, tomllib.TOMLDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return _symbol_from_dict(data)
 
 
 def emit_report(reports: List[Report], header: dict) -> bytes:
@@ -279,27 +177,31 @@ def emit_report(reports: List[Report], header: dict) -> bytes:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _poly_of(spec: SymbolSpec) -> PolySymbol:
-    """The polynomial of a spec; example5 carries an exp(l|x|^2) factor that
-    only osc-kernel reads, so it is rejected rather than dropped."""
-    if spec.kind == "example5":
+def _poly_of(a) -> PolySymbol:
+    """A loaded symbol that must be polynomial; example5 carries an
+    exp(l|x|^2) factor that only osc-kernel reads, so it is rejected rather
+    than dropped."""
+    if isinstance(a, SeparableSymbol):
         raise UwqError("an example5 symbol is not polynomial; only osc-kernel reads it")
-    return spec.poly()
+    if not isinstance(a, PolySymbol):
+        raise UwqError("a grid symbol has no polynomial form; only quantize and antiwick read it")
+    return a
 
 
 def _operator_symbol(args):
     """Symbol and grid of ``quantize``/``antiwick``.  A polynomial symbol is
     laid on the grid of --n/--L (defaults by its dimension); a sampled grid
     symbol carries its own grid, so --n/--L are rejected there."""
-    spec = load_symbol(args.symbol)
-    if spec.kind == "grid":
+    a = load_symbol(args.symbol)
+    if isinstance(a, PhaseFunctionGrid):
         if args.n is not None or args.L is not None:
             raise UwqError("--n/--L do not apply to a grid symbol; its file fixes the grid")
-        return load_phase(spec.path), None
-    d = spec.d
+        return a, None
+    a = _poly_of(a)
+    d = a.d
     n = args.n if args.n is not None else (constants.DEFAULT_N_1D if d == 1 else constants.DEFAULT_N_2D)
     L = args.L if args.L is not None else (constants.DEFAULT_L_1D if d == 1 else constants.DEFAULT_L_2D)
-    return _poly_of(spec), AxisGrid(n, L, d)
+    return a, AxisGrid(n, L, d)
 
 
 def _numbers(parts: List[str], what: str, count: Optional[int] = None) -> List[float]:
@@ -459,13 +361,9 @@ def _cmd_laplace(args) -> int:
 
 
 def _cmd_osc_kernel(args) -> int:
-    spec = load_symbol(args.symbol)
+    sym = load_symbol(args.symbol)
     chi = load_function(args.chi)
     deltas = _numbers(args.deltas.split(","), "--deltas")
-    if spec.kind == "example5":
-        sym = smoothed_gaussian_symbol(spec.l, spec.poly())
-    else:
-        sym = spec.poly()
     rep = oscillatory_kernel(sym, chi, deltas)
     lines = ["delta,re,im,cauchy_diff"]
     for i, (dl, v) in enumerate(zip(rep.deltas, rep.values)):

@@ -20,9 +20,10 @@ QUANT_L = 8.0
 
 # Weight-sequence machinery.
 WEIGHTS_TRUNCATION = 64
-M2_H_LATTICE_STEP = 0.1
-M2_H_LATTICE_MAX = 8.0
+M2_H_LATTICE = tuple(k / 10 for k in range(10, 81))  # H = 1.0, 1.1, ..., 8.0 exactly
 CONDITION_C0_CAP = 10.0
+BOUND_K_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+BOUND_FLOOR = 1e-8  # smallest constant C of |P(x)| >= C e^{M(|x|/k)} that counts as a bound
 
 # Oscillatory-kernel regularization ladder.
 OSC_DELTA_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)

@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constants import (
+    BOUND_FLOOR,
+    BOUND_K_LADDER,
     CONDITION_C0_CAP,
-    M2_H_LATTICE_MAX,
-    M2_H_LATTICE_STEP,
+    M2_H_LATTICE,
     WEIGHTS_TRUNCATION,
 )
 from .errors import SaturationError, TailBoundError, UwqError
@@ -204,8 +205,8 @@ class ConditionsReport:
     """Outcome of structural condition checks on a stored prefix.
 
     m2 / m3 report fitted witnesses: the smallest lattice H whose exactly
-    minimized c0 stays under ``c0_cap``, and the minimal c0 making the
-    truncated strong non-quasianalyticity sum hold for q <= P/2.  ``c0``
+    minimized c0 stays under ``CONDITION_C0_CAP``, and the minimal c0 making
+    the truncated strong non-quasianalyticity sum hold for q <= P/2.  ``c0``
     consolidates both (the shared constant used by downstream inequalities).
     """
 
@@ -226,16 +227,12 @@ class ConditionsReport:
         return self.m2_H
 
 
-def check_conditions(
-    w: WeightSequence,
-    h_lattice: Optional[Sequence[float]] = None,
-    c0_cap: float = CONDITION_C0_CAP,
-) -> ConditionsReport:
+def check_conditions(w: WeightSequence) -> ConditionsReport:
     """Check log-convexity exactly and fit witnesses for the product and
     tail-sum conditions on the stored prefix.
 
-    The H lattice is 1.0, 1.1, ..., 8.0 by default; for each H the optimal
-    c0 is computed exactly and the smallest H with c0 <= c0_cap wins.  A
+    The H lattice is 1.0, 1.1, ..., 8.0; for each H the optimal c0 is
+    computed exactly and the smallest H with c0 <= CONDITION_C0_CAP wins.  A
     finite prefix can never refute existential constants, so the cap is what
     gives "violation" operational meaning; it is deliberately coarse.
     """
@@ -252,14 +249,12 @@ def check_conditions(
     for p in range(P + 1):
         q = np.arange(p + 1)
         min_split[p] = np.min(lv[q] + lv[p - q])
-    if h_lattice is None:
-        h_lattice = np.arange(1.0, M2_H_LATTICE_MAX + 1e-9, M2_H_LATTICE_STEP)
     ps = np.arange(P + 1)
     m2_H = m2_c0 = None
-    for H in h_lattice:
+    for H in M2_H_LATTICE:
         log_c0 = float(np.max(lv - ps * math.log(H) - min_split))
-        if math.exp(log_c0) <= c0_cap:
-            m2_H, m2_c0 = float(H), max(1.0, math.exp(log_c0))
+        if math.exp(log_c0) <= CONDITION_C0_CAP:
+            m2_H, m2_c0 = H, max(1.0, math.exp(log_c0))
             break
     m2_ok = m2_H is not None
 
@@ -270,7 +265,7 @@ def check_conditions(
     for q in range(1, P // 2 + 1):
         lhs = tail[q]                          # sum over p = q+1 .. P
         m3_c0 = max(m3_c0, lhs * math.exp(w.log_quotients[q]) / q)
-    m3_ok = m3_c0 <= c0_cap
+    m3_ok = m3_c0 <= CONDITION_C0_CAP
     return ConditionsReport(
         m1_ok=m1_ok,
         m2_ok=m2_ok,
@@ -454,18 +449,13 @@ class BoundReport:
     argmin: int
 
 
-def verify_ultrapoly_bound(
-    P: Ultrapolynomial,
-    k: float,
-    grid: Sequence[float],
-    floor: float = 1e-8,
-) -> BoundReport:
+def verify_ultrapoly_bound(P: Ultrapolynomial, k: float, grid: Sequence[float]) -> BoundReport:
     """Empirical check of the lower bound |P(x)| >= C e^{M(|x|/k)} on a grid.
 
     Returns the minimum of |P(x)| e^{-M(|x|/k)} as the empirical constant.
     In floats that minimum is always positive, so "bounded away from zero"
-    is operationalized as C >= floor.  Saturated associated-function values
-    raise; callers must store a prefix long enough for the grid.
+    is operationalized as C >= BOUND_FLOOR.  Saturated associated-function
+    values raise; callers must store a prefix long enough for the grid.
     """
     if k <= 0:
         raise UwqError("k must be positive")
@@ -487,19 +477,15 @@ def verify_ultrapoly_bound(
         ratio = math.exp(log_ratio) if log_ratio > -700 else 0.0
         if ratio < best:
             best, arg = ratio, i
-    return BoundReport(C_tilde=best, ok=bool(best >= floor), argmin=arg)
+    return BoundReport(C_tilde=best, ok=bool(best >= BOUND_FLOOR), argmin=arg)
 
 
-def fit_bound_scale(
-    P: Ultrapolynomial,
-    grid: Sequence[float],
-    k_ladder: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-    floor: float = 1e-8,
-) -> Optional[float]:
-    """Smallest k on the ladder for which the lower bound check passes."""
-    for k in k_ladder:
-        if verify_ultrapoly_bound(P, k, grid, floor=floor).ok:
-            return float(k)
+def fit_bound_scale(P: Ultrapolynomial, grid: Sequence[float]) -> Optional[float]:
+    """Smallest k on ``BOUND_K_LADDER`` for which the lower bound check
+    passes."""
+    for k in BOUND_K_LADDER:
+        if verify_ultrapoly_bound(P, k, grid).ok:
+            return k
     return None
 
 

@@ -206,6 +206,9 @@ def test_path_inapplicable_options_rejected(files, capsys):
         ["antiwick", "--symbol", f("e5.toml"), "--out", f("x.csv")],
         ["expand", "--symbol", f("e5.toml"), "--theorem", "aw"],
         ["expand", "--symbol", f("p.toml"), "--theorem", f"compose:{f('e5.toml')}"],
+        # a sampled grid symbol has no polynomial form
+        ["expand", "--symbol", f("grid.toml"), "--theorem", "aw"],
+        ["osc-kernel", "--symbol", f("grid.toml"), "--chi", f("chi.csv"), "--deltas", "0.5"],
     ]
     for argv in cases:
         assert run(argv) == 2, argv
@@ -308,15 +311,68 @@ def test_malformed_symbol_files_exit_2(files, capsys):
         "l_q.toml": 'kind = "example5"\nd = 1\nl = "q"\nterms = [[2, 1.0, 0.0]]\n',
         "l_inf.toml": 'kind = "example5"\nd = 1\nl = -1e999\nterms = [[2, 1.0, 0.0]]\n',
         "l_nan.json": '{"kind": "example5", "d": 1, "l": NaN, "terms": [[2, 1.0, 0.0]]}\n',
+        # a non-string kind or path, and booleans where numbers belong
+        "kind_list.toml": 'kind = [1]\nd = 1\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "path_int.json": '{"kind": "grid", "path": 5}\n',
+        "d_true.toml": 'kind = "poly"\nd = true\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "exp_true.toml": 'kind = "poly"\nd = 1\nterms = [[true, 1, 1.0, 0.0]]\n',
+        "coef_true.toml": 'kind = "poly"\nd = 1\nterms = [[1, 1, true, 0.0]]\n',
+        "coef_false.json": '{"kind": "poly", "d": 1, "terms": [[1, 1, 1.0, false]]}\n',
+        "l_true.toml": 'kind = "example5"\nd = 1\nl = true\nterms = [[2, 1.0, 0.0]]\n',
+        "coef_str.toml": 'kind = "poly"\nd = 1\nterms = [[1, 1, "1.5", 0.0]]\n',
+        "coef_big.json": '{"kind": "poly", "d": 1, "terms": [[1, 1, 1%s, 0.0]]}\n' % ("0" * 400),
+        # numbers TOML 1.0 does not allow, and files that do not parse
+        "coef_dot.toml": 'kind = "poly"\nd = 1\nterms = [[1, 1, 1., 0.0]]\n',
+        "coef_lead_dot.toml": 'kind = "poly"\nd = 1\nterms = [[1, 1, .5, 0.0]]\n',
+        "d_zero_pad.toml": 'kind = "poly"\nd = 01\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "dup.toml": 'kind = "poly"\nd = 1\nd = 1\nterms = [[1, 1, 1.0, 0.0]]\n',
+        "open.json": '{"kind": "poly"\n',
+        "latin1.toml": 'kind = "poly"  # d\xe9j\xe0 vu\nd = 1\nterms = [[1, 1, 1.0, 0.0]]\n',
     }
     for name, text in bad.items():
-        Path(f(name)).write_text(text)
+        # the others are ASCII, so only latin1.toml is not valid UTF-8
+        Path(f(name)).write_bytes(text.encode("latin-1"))
         for argv in (["expand", "--symbol", f(name), "--theorem", "aw"],
                      ["osc-kernel", "--symbol", f(name), "--chi", f("chi.csv"),
                       "--deltas", "0.5,0.25"]):
             assert run(argv) == 2, (name, argv)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, (name, err)
+    # open(5) would read file descriptor 5, so the path must fail its type check
+    assert run(["expand", "--symbol", f("path_int.json"), "--theorem", "aw"]) == 2
+    assert "path must be a string" in capsys.readouterr().err
+
+
+def test_toml_strings_comments_and_hex(files, tmp_path):
+    # a quoted '#' or ',' is part of the string, not a comment or separator
+    f = files
+    sub = tmp_path / "h#dir,1"
+    sub.mkdir()
+    Path(f("symbol.csv")).rename(sub / "s.csv")
+    Path(f("hash.toml")).write_text(f'kind = "grid"  # sampled\npath = "{sub / "s.csv"}"\n')
+    Path(f("hex.toml")).write_text('kind = "poly"\nd = 0x1  # hex\n'
+                                   'terms = [\n  [0x1, 1, 1.0, 0.0],  # x xi\n  [2, 0, 1.0, 0.0],\n]\n')
+    assert run(["quantize", "--symbol", f("hash.toml"), "--tau", 0, "--out", f("opg.csv")]) == 0
+    assert np.array_equal(read_operator(f("opg.csv"), 8),
+                          operator_matrix(kernel_from_symbol(load_phase(sub / "s.csv"), 0.0)).entries)
+    assert run(["quantize", "--symbol", f("hex.toml"), "--tau", 0.5, "--n", N, "--L", L,
+                "--out", f("op.csv")]) == 0
+    assert np.array_equal(read_operator(f("op.csv"), N), weyl(POLY, AXIS).entries)
+
+
+@pytest.mark.parametrize("s, H", [(1.5, "2.6"), (2, "3.6"), (3, "7.0")])
+def test_weights_check_prints_lattice_H_exactly(files, s, H):
+    f = files
+    assert run(["weights", "--gevrey", s, "--check", "--out", f("w.csv")]) == 0
+    assert f" m2_H={H} " in Path(f("w.csv")).read_text().splitlines()[0]
+
+
+def test_overflow_exits_2(capsys):
+    for argv in (["laplace", "--density", "indicator:-1:1", "--zeta=-1000:0"],
+                 ["gaussconv", "--density", "indicator:-1:1", "--s", 1, "--x", "30:30:1"]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_osc_kernel_rejects_unresolved_band(files, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwq.errors import UwqError
+from uwq.errors import OverflowDomainError, UwqError
 from uwq.expansion import PolySymbol
 from uwq.gaussconv import (
     CompactDensity,
@@ -46,6 +46,22 @@ def test_laplace_of_indicator_closed_form():
 def test_laplace_rejects_non_finite_points(zeta):
     with pytest.raises(UwqError, match="finite"):
         laplace(DENSITIES["bump"], zeta)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_exponents_raise():
+    # each exponent is past exp's float range; the guards report it instead
+    # of returning inf or nan
+    S = DENSITIES["indicator"]
+    with pytest.raises(OverflowDomainError, match="support box"):
+        laplace(S, -1000.0)
+    with pytest.raises(OverflowDomainError, match="at this"):
+        conv_gauss_via_laplace(S, 1.0, 30.0)
+    # the Gaussian factor stays bounded here; the Laplace point 2 s x does not
+    with pytest.raises(OverflowDomainError, match="support box"):
+        conv_gauss_via_laplace(S, -1000.0, 0.5)
+    with pytest.raises(OverflowDomainError, match="at this"):
+        conv_gauss_direct(S, 1.0, 30.0)
 
 
 SIGMA, X0, Y0 = 0.22, 0.35, -0.15
@@ -132,6 +148,15 @@ def test_pairing_rejects_unresolved_band():
                         ((0.4, 0.025), lambda u: smooth_cutoff(u, inner=2.0, outer=4.5))]:
         with pytest.raises(UwqError, match="band edge"):
             oscillatory_kernel(PolySymbol.one(), chi, deltas, psi=psi)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pairing_rejects_overflowing_integrand():
+    # each factor is finite; their product, summed over the chi grid, is not
+    huge = SeparableSymbol(fx=lambda m: np.full_like(m, 1e300),
+                           fxi=lambda k: np.full_like(k, 1e300))
+    with pytest.raises(OverflowDomainError, match="overflowed"):
+        oscillatory_kernel(huge, gaussian_chi(64), (0.5, 0.25))
 
 
 def test_pairing_rejects_callable_symbols():

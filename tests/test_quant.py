@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uwq.errors import UwqError
+from uwq.errors import OverflowDomainError, UwqError
 from uwq.expansion import (
     PolySymbol,
     compose_terms,
@@ -282,6 +282,14 @@ class TestAntiWick:
     def test_unit_symbol_matrix_is_identity(self, axis):
         M = anti_wick_matrix(ONE, axis)
         assert np.max(np.abs(M.entries - np.eye(axis.n))) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_product_raises(self, axis):
+        # a and u are finite; |a Vu| reaches 1e308 * 1e10
+        a = PhaseFunctionGrid(axis, np.full((axis.n, axis.n), 1e308))
+        u = FunctionGrid(axis, 1e10 * decaying_corpus(axis)[0].values)
+        with pytest.raises(OverflowDomainError, match="a \\* Vu"):
+            anti_wick_direct(a, u)
 
     def test_positive_symbol_nonnegative_form(self, axis):
         rng = np.random.default_rng(13)
