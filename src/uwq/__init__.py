@@ -36,7 +36,6 @@ from .expansion import (
 from .gaussconv import (
     CompactDensity,
     SeparableSymbol,
-    bstar_diagnostic,
     conv_gauss_direct,
     conv_gauss_via_laplace,
     laplace,
@@ -82,18 +81,15 @@ from .stft import stft, stft_adjoint, stft_norm_check
 from .suites import Report, SuiteParams, run_suite
 from .weights import (
     AssocResult,
-    SubordinateSequence,
     Ultrapolynomial,
     WeightSequence,
     assoc_fn,
-    assoc_fn_subordinate,
     check_assoc_bound,
     check_conditions,
     fit_bound_scale,
     load_weights,
     save_weights,
     ultrapoly_eval,
-    ultrapoly_min_factors,
     verify_ultrapoly_bound,
 )
 

@@ -12,7 +12,7 @@ Comparisons absorb float rounding at relative 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np

@@ -1,7 +1,6 @@
 """Laplace transforms of compactly supported densities, the Gaussian
-convolution identity, a growth diagnostic for cosh-weighted integrability,
-the closed-form smoothed symbol for exp(l x^2) P(xi), and the regularized
-oscillatory-integral kernel pairing.
+convolution identity, the closed-form smoothed symbol for exp(l x^2) P(xi),
+and the regularized oscillatory-integral kernel pairing.
 
 Densities are represented by Gauss-Legendre nodes and weights on their
 support box; every integrand below is analytic (or endpoint-flat) there, so
@@ -20,7 +19,7 @@ a ladder is accepted only if psi(delta_min xi) vanishes at the lattice edge
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "laplace",
     "conv_gauss_via_laplace",
     "conv_gauss_direct",
-    "bstar_diagnostic",
     "smooth_cutoff",
     "SeparableSymbol",
     "smoothed_gaussian_symbol",
@@ -73,7 +71,6 @@ class CompactDensity:
     nodes: np.ndarray    # (m, d)
     weights: np.ndarray  # (m,)
     values: np.ndarray   # (m,) complex
-    tag: Optional[str] = None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -91,16 +88,16 @@ class CompactDensity:
         return self.lo.size
 
     @classmethod
-    def from_callable(cls, f: Callable, lo, hi, order: int = 200, tag=None) -> "CompactDensity":
+    def from_callable(cls, f: Callable, lo, hi, order: int = 200) -> "CompactDensity":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         nodes, weights = _gl_nodes(lo, hi, order)
         vals = np.asarray(f(nodes), dtype=complex)
-        return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, values=vals, tag=tag)
+        return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, values=vals)
 
     @classmethod
     def indicator(cls, lo, hi, order: int = 200) -> "CompactDensity":
-        return cls.from_callable(lambda y: np.ones(y.shape[0]), lo, hi, order, tag="Indicator")
+        return cls.from_callable(lambda y: np.ones(y.shape[0]), lo, hi, order)
 
     @classmethod
     def gaussian_bump(cls, lo, hi, order: int = 200) -> "CompactDensity":
@@ -117,7 +114,7 @@ class CompactDensity:
             out[ok] = np.exp(1.0 - 1.0 / (1.0 - t2[ok]))
             return out
 
-        return cls.from_callable(f, lo, hi, order, tag="GaussianBump")
+        return cls.from_callable(f, lo, hi, order)
 
     @classmethod
     def poly_times_bump(cls, coeffs: Sequence[float], lo, hi, order: int = 200) -> "CompactDensity":
@@ -126,11 +123,7 @@ class CompactDensity:
         if bump.d != 1:
             raise UwqError("poly_times_bump is one-dimensional")
         poly = np.polynomial.polynomial.polyval(bump.nodes[:, 0], np.asarray(coeffs))
-        return cls(lo=bump.lo, hi=bump.hi, nodes=bump.nodes, weights=bump.weights,
-                   values=bump.values * poly, tag="PolyTimesBump")
-
-    def integral(self) -> complex:
-        return complex(np.sum(self.weights * self.values))
+        return replace(bump, values=bump.values * poly)
 
 
 def laplace(S: CompactDensity, zeta) -> complex:
@@ -166,10 +159,7 @@ def conv_gauss_via_laplace(S: CompactDensity, s: float, x) -> complex:
     expo_bound = s * xsq + np.max(gauss_weight + np.abs(2.0 * s * (S.nodes @ x)))
     if expo_bound > _EXP_LIMIT or s * xsq > _EXP_LIMIT:
         raise OverflowDomainError("Gaussian factor overflows at this (s, x)")
-    weighted = CompactDensity(
-        lo=S.lo, hi=S.hi, nodes=S.nodes, weights=S.weights,
-        values=S.values * np.exp(gauss_weight), tag=S.tag,
-    )
+    weighted = replace(S, values=S.values * np.exp(gauss_weight))
     return complex(math.exp(s * xsq) * laplace(weighted, (2.0 * s * x).astype(complex)))
 
 
@@ -181,45 +171,6 @@ def conv_gauss_direct(S: CompactDensity, s: float, x) -> complex:
     if np.max(expo) > _EXP_LIMIT:
         raise OverflowDomainError("Gaussian factor overflows at this (s, x)")
     return complex(np.sum(S.weights * S.values * np.exp(expo)))
-
-
-def bstar_diagnostic(envelope, s: float, k_list: Sequence[float], box: float,
-                     segments: int = 15, order: int = 40) -> dict:
-    """For each k, check integral cosh(k r) e^{s r^2} g(r) dr < infinity by
-    tail-ratio extrapolation on [0, box], where g >= |S| is an analytic
-    envelope (or a CompactDensity, whose tail vanishes).
-
-    A sufficient-condition diagnostic, not a membership proof: pass means
-    the per-segment increments decay at the sampled tail.
-    """
-    if envelope is None:
-        raise UwqError("an envelope g(r) >= |S(r)| is required")
-    if isinstance(envelope, CompactDensity):
-        sup = float(np.max(np.abs(envelope.values)))
-        hi = float(np.max(np.abs(np.concatenate([envelope.lo, envelope.hi]))))
-
-        def g(r):
-            return np.where(r <= hi, sup, 0.0)
-    else:
-        g = envelope
-    edges = np.linspace(0.0, box, segments + 1)
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    report = {}
-    for k in k_list:
-        incs = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            r = 0.5 * (b - a) * xs + 0.5 * (a + b)
-            w = 0.5 * (b - a) * ws
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.cosh(np.minimum(k * r, _EXP_LIMIT)) * np.exp(np.minimum(s * r**2, _EXP_LIMIT)) * g(r)
-            vals = np.nan_to_num(vals, nan=1e300, posinf=1e300)
-            incs.append(float(np.sum(w * vals)))
-        tail = incs[-3:]
-        total = sum(abs(v) for v in incs)
-        vanished = all(abs(v) <= 1e-13 * max(1.0, total) for v in tail)
-        decaying = tail[0] > tail[1] > tail[2]
-        report[float(k)] = bool(vanished or decaying)
-    return report
 
 
 def _bump_step(t: np.ndarray) -> np.ndarray:

@@ -136,10 +136,6 @@ class PhaseFunctionGrid:
             )
         object.__setattr__(self, "values", v)
 
-    @property
-    def kaxis(self) -> AxisGrid:
-        return self.xaxis.dual()
-
     @classmethod
     def from_callable(cls, xaxis: AxisGrid, f) -> "PhaseFunctionGrid":
         xm = xaxis.meshes()
@@ -274,7 +270,11 @@ def _load_grid(path, kind, shape):
     rows against ``shape(axis)``, the array they must fill exactly once;
     returns the axis and that array."""
     with open(path, "r", encoding="utf-8") as fh:
-        axis = _parse_header(fh.readline(), kind)
+        try:
+            header = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise UwqError(f"{path}: {exc}") from None
+        axis = _parse_header(header, kind)
         try:
             with warnings.catch_warnings():
                 # an empty body is reported below as a wrong row count

@@ -143,6 +143,19 @@ def _upsample_axis(values: np.ndarray, q: int, ax: int) -> np.ndarray:
     return np.moveaxis(res, 0, ax)
 
 
+def _symbol_axis(a, axis: AxisGrid = None) -> AxisGrid:
+    """The grid a symbol is quantized on: the explicit ``axis`` a PolySymbol
+    needs, or a sampled symbol's own grid, which a different ``axis`` may
+    not override."""
+    if isinstance(a, PolySymbol):
+        if axis is None:
+            raise UwqError("polynomial path needs an explicit axis")
+        return axis
+    if axis is not None and axis != a.xaxis:
+        raise UwqError("axis argument conflicts with the symbol's grid")
+    return a.xaxis
+
+
 def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
     """K(x, y) = (2 pi)^{-d} dxi^d sum_xi e^{i (x-y) xi} a((1-tau) x + tau y, xi).
 
@@ -151,12 +164,9 @@ def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
     small denominator so midpoints land on the refined lattice).
     """
     tv = _finite_tau(tau)
+    axis = _symbol_axis(a, axis)
     if isinstance(a, PolySymbol):
-        if axis is None:
-            raise UwqError("polynomial path needs an explicit axis")
         return _kernel_from_poly(a, tv, axis)
-    if axis is not None and axis != a.xaxis:
-        raise UwqError("axis argument conflicts with the symbol's grid")
     return _kernel_from_grid(a, tv)
 
 
@@ -336,11 +346,9 @@ def anti_wick_matrix(a, axis: AxisGrid = None) -> OperatorMatrix:
     every class at once: O(N^2 log N) for N = n^d grid points.  Agrees with
     ``anti_wick_direct`` to rounding.
     """
+    axis = _symbol_axis(a, axis)
     if isinstance(a, PolySymbol):
-        if axis is None:
-            raise UwqError("polynomial path needs an explicit axis")
         a = sample_symbol(a, axis)
-    axis = a.xaxis
     d, n = axis.d, axis.n
     y_axes = tuple(range(d))
     k_axes = tuple(range(d, 2 * d))
@@ -402,17 +410,15 @@ def verify_smoothing_identity(a, axis: AxisGrid = None) -> dict:
     seam differently by O(1) for growing symbols - a boundary artifact, not
     part of the identity.  ``max_err_full`` reports the unrestricted value.
     """
+    axis = _symbol_axis(a, axis)
     if isinstance(a, PolySymbol):
-        if axis is None:
-            raise UwqError("polynomial path needs an explicit axis")
         a = sample_symbol(a, axis)
     A = anti_wick_matrix(a)
     B = weyl(gauss_smooth(a))
     diff = np.abs(A.entries - B.entries)
-    ax = a.xaxis
-    per_axis = np.abs(ax.points()) <= ax.L / 2.0
+    per_axis = np.abs(axis.points()) <= axis.L / 2.0
     mask = per_axis.copy()
-    for _ in range(ax.d - 1):
+    for _ in range(axis.d - 1):
         mask = np.multiply.outer(mask, per_axis)
     flat = mask.ravel()
     inner = diff[np.ix_(flat, flat)]

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .expansion import (
     inverse_aw_recursion,
     poly_allclose,
     tau_change_terms,
-    transpose_terms,
 )
 from .gaussconv import (
     CompactDensity,
@@ -50,7 +49,6 @@ from .grid import (
     PhaseFunctionGrid,
     _shifted_ifft,
     gaussian_window,
-    l2_norm,
 )
 from .quant import (
     anti_wick_matrix,
@@ -117,14 +115,6 @@ def report_header(params: SuiteParams) -> dict:
         "d": params.d,
         "seed": params.seed,
     }
-
-
-def _x() -> PolySymbol:
-    return PolySymbol.x()
-
-
-def _xi() -> PolySymbol:
-    return PolySymbol.xi()
 
 
 def _half_band(n: int, cap: int) -> int:
@@ -216,7 +206,7 @@ def _quant_axis(params: SuiteParams) -> AxisGrid:
 def criterion_smoothing_identity(params: SuiteParams) -> Report:
     t0 = time.perf_counter()
     axis = _quant_axis(params)
-    x, xi = _x(), _xi()
+    x, xi = PolySymbol.x(), PolySymbol.xi()
     symbols = [PolySymbol.one(), x, xi * xi, x * x + xi * xi, x * x * x * x, x * xi]
     worst = 0.0
     for sym in symbols:
@@ -230,7 +220,7 @@ def criterion_smoothing_identity(params: SuiteParams) -> Report:
 def criterion_positivity(params: SuiteParams) -> Report:
     t0 = time.perf_counter()
     axis = _quant_axis(params)
-    x, xi = _x(), _xi()
+    x, xi = PolySymbol.x(), PolySymbol.xi()
     worst = 0.0
     for sym in [PolySymbol.one(), x * x, xi * xi, x * x + xi * xi, x * x * x * x + 1]:
         grid = sample_symbol(sym, axis)
@@ -259,7 +249,7 @@ def criterion_norm_bound(params: SuiteParams) -> Report:
 def criterion_oscillator(params: SuiteParams) -> Report:
     t0 = time.perf_counter()
     axis = _quant_axis(params)
-    x, xi = _x(), _xi()
+    x, xi = PolySymbol.x(), PolySymbol.xi()
     H = weyl(x * x + xi * xi, axis).entries
     evals = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
     worst = float(np.max(np.abs(evals[:8] - np.arange(1, 16, 2))))
@@ -322,7 +312,7 @@ def criterion_inverse_expansion(params: SuiteParams) -> Report:
     # matrix form on the corpus the operators act on
     axis = _quant_axis(params)
     corpus = _decaying_corpus(axis)
-    x, xi = _x(), _xi()
+    x, xi = PolySymbol.x(), PolySymbol.xi()
     worst = 0.0
     for b in [xi * xi, x * x, x * xi, x * x + xi * xi]:
         a = inverse_aw_recursion(b).a
@@ -342,7 +332,7 @@ def criterion_inverse_expansion(params: SuiteParams) -> Report:
 # ---------------------------------------------------------------------------
 
 def _tau_polys() -> List[PolySymbol]:
-    x, xi = _x(), _xi()
+    x, xi = PolySymbol.x(), PolySymbol.xi()
     return [x * xi, x * x + xi * xi, x * x * xi * xi, x * x * x * xi, xi * xi * xi * xi]
 
 

@@ -1,5 +1,6 @@
-"""Weight sequences M_p, their structural conditions, associated functions,
-and truncated ultrapolynomial products.
+"""Weight sequences M_p, their structural conditions (M.1)-(M.3), the
+associated function M(rho), and truncated ultrapolynomial products with a
+constant scale l.
 
 Everything is computed in the log domain: Gevrey sequences (p!)^s overflow
 doubles near p = 85, and the associated function is defined through logs
@@ -9,7 +10,7 @@ anyway.  All types are immutable; operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,17 +26,14 @@ from .errors import SaturationError, TailBoundError, UwqError
 
 __all__ = [
     "WeightSequence",
-    "SubordinateSequence",
     "Ultrapolynomial",
     "AssocResult",
     "ConditionsReport",
     "BoundReport",
     "assoc_fn",
-    "assoc_fn_subordinate",
     "check_conditions",
     "check_assoc_bound",
     "ultrapoly_eval",
-    "ultrapoly_min_factors",
     "verify_ultrapoly_bound",
     "fit_bound_scale",
     "load_weights",
@@ -115,29 +113,6 @@ class WeightSequence:
 
 
 @dataclass(frozen=True)
-class SubordinateSequence:
-    """A positive non-decreasing sequence r_1..r_P, declared to diverge."""
-
-    r: np.ndarray
-    diverging: bool = True
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise UwqError("subordinate sequence must be a non-empty 1-d array")
-        if np.any(r <= 0):
-            raise UwqError("subordinate sequence must be strictly positive")
-        if np.any(np.diff(r) < -1e-15):
-            raise UwqError("subordinate sequence must be non-decreasing")
-        object.__setattr__(self, "r", r)
-
-    @property
-    def log_cumulative(self) -> np.ndarray:
-        """ln prod_{j<=p} r_j for p = 1..P (index 0 is ln r_1)."""
-        return np.cumsum(np.log(self.r))
-
-
-@dataclass(frozen=True)
 class AssocResult:
     """Value of an associated function together with its maximizer.
 
@@ -156,29 +131,6 @@ class AssocResult:
         return float(self.value)
 
 
-def _assoc_scan(log_denominators: np.ndarray, rho, log_m_last: float) -> AssocResult:
-    """sup_p (p ln rho - log_denominators[p])_+ for every entry of rho, one
-    scan per distinct value."""
-    rho = np.asarray(rho, dtype=float)
-    if not (np.all(rho > 0.0) and np.all(np.isfinite(rho))):
-        raise UwqError("associated function needs rho > 0")
-    distinct, where = np.unique(rho, return_inverse=True)
-    # math.log per distinct value keeps the scan bitwise equal to a scalar one
-    log_rho = np.array([math.log(r) for r in distinct])
-    P = log_denominators.size - 1
-    terms = log_rho[:, None] * np.arange(P + 1) - log_denominators
-    k = np.argmax(terms, axis=1)
-    best = terms[np.arange(distinct.size), k]
-    value = np.where(best > 0.0, best, 0.0)
-    saturated = ((k == P) & (value > 0.0)) | (log_rho >= log_m_last)
-
-    def spread(a):
-        # back to rho's shape; [()] turns the 0-d case into a numpy scalar
-        return a[where].reshape(rho.shape)[()]
-
-    return AssocResult(value=spread(value), argmax=spread(k), saturated=spread(saturated))
-
-
 def assoc_fn(w: WeightSequence, rho) -> AssocResult:
     """M(rho) = sup_p log_+ rho^p / M_p, scanned over the stored prefix.
 
@@ -188,16 +140,25 @@ def assoc_fn(w: WeightSequence, rho) -> AssocResult:
     log-convex sequences, the scan is exact whenever rho < m_P; otherwise
     the result is flagged saturated.
     """
-    return _assoc_scan(w.log_values, rho, w.log_values[-1] - w.log_values[-2])
+    rho = np.asarray(rho, dtype=float)
+    if not (np.all(rho > 0.0) and np.all(np.isfinite(rho))):
+        raise UwqError("associated function needs rho > 0")
+    distinct, where = np.unique(rho, return_inverse=True)
+    # math.log per distinct value keeps the scan bitwise equal to a scalar one
+    log_rho = np.array([math.log(r) for r in distinct])
+    lv = w.log_values
+    P = lv.size - 1
+    terms = log_rho[:, None] * np.arange(P + 1) - lv
+    k = np.argmax(terms, axis=1)
+    best = terms[np.arange(distinct.size), k]
+    value = np.where(best > 0.0, best, 0.0)
+    saturated = ((k == P) & (value > 0.0)) | (log_rho >= lv[-1] - lv[-2])
 
+    def spread(a):
+        # back to rho's shape; [()] turns the 0-d case into a numpy scalar
+        return a[where].reshape(rho.shape)[()]
 
-def assoc_fn_subordinate(w: WeightSequence, r: SubordinateSequence, rho) -> AssocResult:
-    """N(rho) = sup_p log_+ rho^p / (M_p prod_{j<=p} r_j), for scalar or
-    array rho as in ``assoc_fn``."""
-    P = min(w.truncation, r.r.size)
-    denom = w.log_values[: P + 1].copy()
-    denom[1:] += r.log_cumulative[:P]
-    return _assoc_scan(denom, rho, denom[-1] - denom[-2])
+    return AssocResult(value=spread(value), argmax=spread(k), saturated=spread(saturated))
 
 
 @dataclass(frozen=True)
@@ -221,10 +182,6 @@ class ConditionsReport:
     def c0(self) -> float:
         vals = [v for v in (self.m2_c0, self.m3_c0) if v is not None]
         return max([1.0] + vals)
-
-    @property
-    def H(self) -> Optional[float]:
-        return self.m2_H
 
 
 def check_conditions(w: WeightSequence) -> ConditionsReport:
@@ -294,7 +251,7 @@ def check_assoc_bound(
         rep = check_conditions(w)
         if not (rep.m1_ok and rep.m2_ok):
             raise UwqError("cannot fit (c0, H): conditions fail on the prefix")
-        c0, H = rep.c0, rep.H
+        c0, H = rep.c0, rep.m2_H
     else:
         c0, H = constants
     ns = np.arange(1, n_max + 1)
@@ -308,15 +265,13 @@ def check_assoc_bound(
 
 @dataclass(frozen=True)
 class Ultrapolynomial:
-    """Truncated product prod_{j=q}^{q+J-1} (1 + z^2 / (l_j^2 m_j^2)).
-
-    ``scale`` is the constant l; for the variant with a diverging scale
-    sequence, pass ``scale_seq`` (entry j-q scales factor j) instead.
+    """Truncated product prod_{j=q}^{q+J-1} (1 + z^2 / (l^2 m_j^2)) with
+    J = ``truncation`` factors and the constant scale l = ``scale``, a finite
+    positive real.
     """
 
     weight: WeightSequence
-    scale: Optional[float] = 1.0
-    scale_seq: Optional[SubordinateSequence] = None
+    scale: float = 1.0
     q: int = 1
     truncation: int = 50
 
@@ -325,10 +280,8 @@ class Ultrapolynomial:
             raise UwqError("start index q must be a positive integer")
         if self.truncation < 1:
             raise UwqError("need at least one factor")
-        if self.scale_seq is None and (self.scale is None or self.scale <= 0):
-            raise UwqError("scale l must be positive")
-        if self.scale_seq is not None and self.scale_seq.r.size < self.truncation:
-            raise UwqError("scale sequence shorter than the factor count")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise UwqError("scale l must be finite and positive")
 
     def log_m(self) -> np.ndarray:
         js = np.arange(self.q, self.q + self.truncation)
@@ -339,8 +292,6 @@ class Ultrapolynomial:
         return self.weight.log_quotients[js - 1]
 
     def log_scales(self) -> np.ndarray:
-        if self.scale_seq is not None:
-            return np.log(self.scale_seq.r[: self.truncation])
         return np.full(self.truncation, math.log(self.scale))
 
 
@@ -351,7 +302,7 @@ def _tail_log_bound(P: Ultrapolynomial, abs_z: float) -> float:
     j_end = P.q + P.truncation - 1
     if P.weight.generator[0] == "gevrey":
         s = P.weight.generator[1]
-        l = P.scale if P.scale_seq is None else float(P.scale_seq.r[-1])
+        l = P.scale
         # sum_{j>J} j^(-2s) <= integral_J^inf t^(-2s) dt = J^(1-2s)/(2s-1)
         return abs_z**2 / (l * l) * j_end ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
     raise TailBoundError(
@@ -359,21 +310,8 @@ def _tail_log_bound(P: Ultrapolynomial, abs_z: float) -> float:
     )
 
 
-def ultrapoly_min_factors(w: WeightSequence, l: float, q: int, zmax: float,
-                          tol: float = 1e-12) -> int:
-    """Smallest factor count J so the dropped-tail sum stays below tol."""
-    if w.generator[0] != "gevrey":
-        raise TailBoundError("adaptive truncation needs a generated sequence")
-    s = w.generator[1]
-    if zmax == 0:
-        return 1
-    # solve zmax^2/l^2 * J^(1-2s)/(2s-1) <= tol for J
-    j_end = (zmax**2 / (l * l * tol * (2.0 * s - 1.0))) ** (1.0 / (2.0 * s - 1.0))
-    return max(1, int(math.ceil(j_end)) - q + 2)
-
-
 def _log_factor_sums(P: Ultrapolynomial, abs_z) -> np.ndarray:
-    """sum_j log1p(|z|^2 / (l_j m_j)^2) for each entry of the 1-d array |z|,
+    """sum_j log1p(|z|^2 / (l m_j)^2) for each entry of the 1-d array |z|,
     the log of the truncated product at real z; 0 where |z| = 0.  Runs in
     row blocks of at most _BLOCK_BYTES, and each row is bitwise the sum the
     scalar product takes."""
@@ -429,8 +367,8 @@ def _tail_log_correction(P: Ultrapolynomial, abs_z: float) -> float:
     """
     if abs_z == 0.0:
         return 0.0
-    if P.weight.generator[0] != "gevrey" or P.scale_seq is not None:
-        raise TailBoundError("tail correction needs a generated sequence and scalar l")
+    if P.weight.generator[0] != "gevrey":
+        raise TailBoundError("tail correction needs a generated sequence")
     s = P.weight.generator[1]
     l = P.scale
     j0 = P.q + P.truncation - 0.5  # midpoint rule start
@@ -492,8 +430,11 @@ def fit_bound_scale(P: Ultrapolynomial, grid: Sequence[float]) -> Optional[float
 def load_weights(path) -> WeightSequence:
     """Plain-text format: header ``gevrey s=<real>`` or ``explicit``; for
     explicit sequences one ln M_p per following line, starting with p = 0."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise UwqError(f"{path}: {exc}") from None
     if not lines:
         raise UwqError(f"empty weight file: {path}")
     head = lines[0].split()

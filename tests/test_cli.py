@@ -301,6 +301,21 @@ def test_missing_files_exit_2(files, capsys):
     assert not Path(f("x.csv")).exists()
 
 
+def test_non_utf8_files_exit_2(files, capsys):
+    f = files
+    Path(f("bad.csv")).write_bytes(b"\xff")
+    cases = [
+        ["stft", "--in", f("bad.csv"), "--out", f("x.csv")],
+        ["weights", "--weights-file", f("bad.csv")],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "can't decode byte 0xff" in err, argv
+    assert not Path(f("x.csv")).exists()
+
+
 def test_malformed_symbol_files_exit_2(files, capsys):
     f = files
     bad = {

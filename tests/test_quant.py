@@ -431,6 +431,29 @@ class TestFiniteTau:
                     call()
 
 
+class TestAxisArgument:
+    """A PolySymbol needs an axis; a sampled symbol rejects a different one."""
+
+    ENTRY_POINTS = {
+        "kernel_from_symbol": lambda a, axis: kernel_from_symbol(a, 0.5, axis),
+        "anti_wick_matrix": anti_wick_matrix,
+        "verify_smoothing_identity": verify_smoothing_identity,
+    }
+
+    @pytest.fixture(scope="class")
+    def grid_symbol(self):
+        return sample_symbol(XI * XI, AxisGrid(32, 4.0, 1))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_conflicting_axis_rejected(self, entry, grid_symbol):
+        call = self.ENTRY_POINTS[entry]
+        with pytest.raises(UwqError, match="conflicts with the symbol's grid"):
+            call(grid_symbol, AxisGrid(64, 6.0, 1))
+        with pytest.raises(UwqError, match="needs an explicit axis"):
+            call(XI * XI, None)
+        assert call(grid_symbol, AxisGrid(32, 4.0, 1)) is not None
+
+
 class TestTwoDimensions:
     @pytest.fixture(scope="class")
     def ax2(self):

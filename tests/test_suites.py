@@ -5,11 +5,18 @@ from uwq.errors import UwqError
 from uwq.suites import SuiteParams, _half_band, run_suite
 
 
-def test_all_criteria_pass_at_defaults():
-    reports = run_suite("all")
+def failures(params: SuiteParams) -> list:
+    reports = run_suite("all", params)
     assert len(reports) == 14
-    failed = [(r.name, r.measured, r.tolerance) for r in reports if r.status != "pass"]
-    assert failed == []
+    return [(r.name, r.measured, r.tolerance) for r in reports if r.status != "pass"]
+
+
+def test_all_criteria_pass_at_defaults():
+    assert failures(SuiteParams()) == []
+
+
+def test_all_criteria_pass_at_n64():
+    assert failures(SuiteParams(n=64)) == []
 
 
 def test_two_dimensions_rejected():

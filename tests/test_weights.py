@@ -6,18 +6,15 @@ import pytest
 from uwq.errors import SaturationError, TailBoundError, UwqError
 from uwq.expansion import ClassParams, PolySymbol, compositions, gamma_norm_estimate, poly_derive
 from uwq.weights import (
-    SubordinateSequence,
     Ultrapolynomial,
     WeightSequence,
     assoc_fn,
-    assoc_fn_subordinate,
     check_assoc_bound,
     check_conditions,
     fit_bound_scale,
     load_weights,
     save_weights,
     ultrapoly_eval,
-    ultrapoly_min_factors,
     verify_ultrapoly_bound,
 )
 from uwq.weights import _BLOCK_BYTES
@@ -139,16 +136,6 @@ class TestAssocArray:
         with pytest.raises(UwqError):
             assoc_fn(gevrey2, np.array([[1.0, bad]]))
 
-    def test_subordinate_on_arrays(self, gevrey2):
-        r = SubordinateSequence(np.arange(1.0, 65.0))
-        rhos = np.geomspace(0.1, 1e7, 60).reshape(6, 10)
-        res = assoc_fn_subordinate(gevrey2, r, rhos)
-        assert res.value.shape == (6, 10)
-        for idx in np.ndindex(rhos.shape):
-            ref = assoc_fn_subordinate(gevrey2, r, float(rhos[idx]))
-            assert (float.hex(float(res.value[idx])), int(res.argmax[idx]),
-                    bool(res.saturated[idx])) == scalar_fields(ref)
-
 
 def gamma_norm_reference(a, params, box, points_per_axis=121):
     """The Gamma-seminorm estimate with the damping weight evaluated one
@@ -217,35 +204,6 @@ class TestGammaNormArray:
             gamma_norm_reference(PolySymbol.one(), params, 10.0, points_per_axis=21)
 
 
-class TestAssocSubordinate:
-    def test_vanishes_below_first_quotient(self, gevrey2):
-        r = SubordinateSequence(np.arange(1.0, 65.0))
-        # m_1 * r_1 = 1; everything at or below gives zero
-        assert assoc_fn_subordinate(gevrey2, r, 0.9).value == 0.0
-
-    def test_rho_two(self, gevrey2):
-        r = SubordinateSequence(np.arange(1.0, 65.0))
-        res = assoc_fn_subordinate(gevrey2, r, 2.0)
-        assert res.value == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_rho_ten_regression(self, gevrey2):
-        r = SubordinateSequence(np.arange(1.0, 65.0))
-        brute = max(
-            0.0,
-            max(
-                p * math.log(10.0) - 2.0 * math.lgamma(p + 1) - math.lgamma(p + 1)
-                for p in range(51)
-            ),
-        )
-        assert assoc_fn_subordinate(gevrey2, r, 10.0).value == pytest.approx(brute, abs=1e-12)
-
-    def test_subordinate_validation(self):
-        with pytest.raises(UwqError):
-            SubordinateSequence(np.array([2.0, 1.0]))
-        with pytest.raises(UwqError):
-            SubordinateSequence(np.array([-1.0, 2.0]))
-
-
 class TestConditions:
     def test_gevrey_log_convex(self, gevrey2):
         rep = check_conditions(gevrey2)
@@ -297,6 +255,11 @@ class TestAssocBound:
 
 
 class TestUltrapolynomial:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_scale_must_be_finite_and_positive(self, gevrey2, bad):
+        with pytest.raises(UwqError, match="scale l must be finite and positive"):
+            Ultrapolynomial(weight=gevrey2, scale=bad)
+
     def test_value_at_zero_is_one(self, gevrey2):
         P = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=50)
         assert ultrapoly_eval(P, 0.0, strict=False) == 1.0 + 0.0j
@@ -315,7 +278,8 @@ class TestUltrapolynomial:
         P = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=50)
         with pytest.raises(TailBoundError):
             ultrapoly_eval(P, 2.0, strict=True)
-        J = ultrapoly_min_factors(gevrey2, 1.0, 1, 2.0)
+        # the smallest J with zmax^2 J^(1-2s)/(2s-1) < 1e-12 at zmax = 2, s = 2, l = 1
+        J = math.ceil((4.0 / (3.0 * 1e-12)) ** (1.0 / 3.0))
         big = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=J)
         val = ultrapoly_eval(big, 2.0, strict=True)
         assert val.real == pytest.approx(6.7567744, rel=1e-6)
