@@ -67,6 +67,7 @@ from .quant import (
     anti_wick_direct,
     anti_wick_matrix,
     apply_operator,
+    apply_symbol,
     gauss_smooth,
     hermite_function,
     kernel_from_symbol,

@@ -68,7 +68,11 @@ class AxisGrid:
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise UwqError("n must be a power of two >= 2")
         if not (self.L > 0):
-            raise UwqError("L must be positive")
+            raise UwqError(f"L must be positive, got {self.L!r}")
+        # 2L/n and pi/L overflow or underflow for an L too large or too small
+        if not all(math.isfinite(h) and h > 0 for h in (self.dx, self.dxi)):
+            raise UwqError(f"L={self.L!r} gives grid steps dx={self.dx!r}, dxi={self.dxi!r}; "
+                           f"both must be finite and positive")
         if self.d not in (1, 2):
             raise UwqError("only dimensions 1 and 2 are supported")
 

@@ -10,10 +10,15 @@ trigonometrically interpolated in the x slot, exact for band-limited data.
 Operator matrices are dense N x N arrays over the N = n^d grid points.
 Kernel assembly costs O(N^2) per polynomial term; the Anti-Wick matrix is
 assembled by FFT convolutions with the circulant window in O(N^2 log N).
+``apply_symbol`` is the matrix-free path: it applies the same
+tau-quantization of a polynomial symbol to one function with FFTs, in
+O(N log N) per (xi-power, midpoint-power) pair and O(N) memory.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +44,7 @@ __all__ = [
     "symbol_from_kernel",
     "operator_matrix",
     "apply_operator",
+    "apply_symbol",
     "weyl",
     "kohn_nirenberg",
     "anti_wick_direct",
@@ -111,19 +117,34 @@ def _diff_indices(axis: AxisGrid) -> list:
     return [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(axis.d)]
 
 
-def _dirichlet_1d(axis: AxisGrid, k: int) -> np.ndarray:
-    """(2 pi)^{-1} dxi sum_xi xi^k e^{i r xi} on the 1-d base grid.
+def _xi_power(axis: AxisGrid, k: int) -> np.ndarray:
+    """xi^k on the 1-d dual grid, in physical order.
 
     The unpaired most-negative frequency bin carries the even part of xi^k
     (zero for odd k), the canonical band-limited representative; this is
     what makes odd-order spectral derivative matrices anti-symmetric and
-    the discrete transpose identity exact.
+    the discrete transpose identity exact.  The dense kernel and
+    ``apply_symbol`` both sample xi^k here, so they are one operator.
     """
-    ax1 = AxisGrid(axis.n, axis.L, 1)
-    xi = ax1.dual().points()
+    xi = AxisGrid(axis.n, axis.L, 1).dual().points()
     samples = xi.astype(complex) ** k
     samples[0] = 0.5 * ((-xi[0]) ** k + xi[0] ** k)
-    return _shifted_ifft(samples, (0,)) / ax1.dx
+    return samples
+
+
+@functools.lru_cache(maxsize=128)
+def _xi_multiplier(axis: AxisGrid, k: int, i: int) -> np.ndarray:
+    """``_xi_power`` in DFT order, shaped to broadcast along grid axis i."""
+    shape = [1] * axis.d
+    shape[i] = axis.n
+    m = np.fft.ifftshift(_xi_power(axis, k)).reshape(shape)
+    m.setflags(write=False)
+    return m
+
+
+def _dirichlet_1d(axis: AxisGrid, k: int) -> np.ndarray:
+    """(2 pi)^{-1} dxi sum_xi xi^k e^{i r xi} on the 1-d base grid."""
+    return _shifted_ifft(_xi_power(axis, k), (0,)) / axis.dx
 
 
 def _upsample_axis(values: np.ndarray, q: int, ax: int) -> np.ndarray:
@@ -307,9 +328,60 @@ def operator_matrix(K: KernelMatrix) -> OperatorMatrix:
 
 
 def apply_operator(M: OperatorMatrix, u: FunctionGrid) -> FunctionGrid:
+    if not isinstance(M, OperatorMatrix):
+        raise UwqError(f"expected an OperatorMatrix, got {type(M).__name__}; "
+                       f"operator_matrix folds in the dy^d weight")
     if u.axis != M.axis:
         raise UwqError("grid mismatch")
     return FunctionGrid(M.axis, (M.entries @ u.values.ravel()).reshape(M.axis.shape))
+
+
+def apply_symbol(a: PolySymbol, tau: float, u: FunctionGrid) -> FunctionGrid:
+    """Op_tau(a) u for a polynomial symbol, without an N x N matrix.
+
+    Expanding the midpoint power ((1-tau) x + tau y)^beta gives
+        Op_tau(x^beta xi^alpha) u = sum_{k <= beta} c_k x^{beta-k} D^alpha(x^k u),
+        c_k = prod_i C(beta_i, k_i) (1-tau)^{beta_i-k_i} tau^{k_i},
+    where D^alpha multiplies the DFT by the ``_xi_power`` samples of
+    xi^alpha: the operator of ``kernel_from_symbol`` to rounding.  Each
+    distinct x^k u is transformed once and each (alpha, k) pair transformed
+    back once, O(#(alpha, k) N log N) time and O(N) memory per pair.
+    """
+    tv = _finite_tau(tau)
+    if not isinstance(a, PolySymbol):
+        raise UwqError(f"expected a PolySymbol, got {type(a).__name__}")
+    axis = u.axis
+    if a.d != axis.d:
+        raise UwqError("symbol dimension does not match the grid")
+    meshes = axis.meshes()
+
+    def xpow(e):
+        # x^e on the grid, the scalar 1.0 for e = 0
+        return math.prod((m**p for m, p in zip(meshes, e) if p), start=1.0)
+
+    # post[(alpha, k)]: sum over terms of c c_k x^{beta-k}, applied after D^alpha
+    post = {}
+    for (xe, ke), c in a.terms.items():
+        for k in itertools.product(*(range(b + 1) for b in xe)):
+            ck = c * math.prod(math.comb(b, j) * (1.0 - tv) ** (b - j) * tv**j
+                               for b, j in zip(xe, k))
+            if ck != 0:
+                m = tuple(b - j for b, j in zip(xe, k))
+                post[ke, k] = post.get((ke, k), 0.0) + ck * xpow(m)
+    spectra = {}
+    out = np.zeros(axis.shape, dtype=complex)
+    for (ke, k), p in post.items():
+        if not any(ke):
+            out += p * xpow(k) * u.values
+            continue
+        if k not in spectra:
+            spectra[k] = np.fft.fftn(xpow(k) * u.values)
+        w = spectra[k]
+        for i, al in enumerate(ke):
+            if al:
+                w = w * _xi_multiplier(axis, al, i)
+        out += p * np.fft.ifftn(w)
+    return FunctionGrid(axis, out)
 
 
 def weyl(a, axis: AxisGrid = None) -> OperatorMatrix:

@@ -11,6 +11,10 @@ Suite map (each criterion is reachable through exactly one suite):
   gaussconv - Laplace convolution identity, oscillatory kernel limit
   weights   - structural conditions, quotient growth bound,
               ultrapolynomial lower bound
+
+The ordering-change and composition checks apply their operators
+matrix-free (``quant.apply_symbol``); transpose and the quant245 and
+expansion checks compare dense matrices.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .grid import (
 from .quant import (
     anti_wick_matrix,
     apply_operator,
+    apply_symbol,
     hermite_function,
     kernel_from_symbol,
     operator_matrix,
@@ -344,10 +349,8 @@ def criterion_tau_change(params: SuiteParams) -> Report:
     for a in _tau_polys():
         for t1, t in itertools.product([0.0, 0.5, 1.0], repeat=2):
             b = tau_change_terms(a, t1, t)
-            M1 = operator_matrix(kernel_from_symbol(a, t1, axis))
-            M2 = operator_matrix(kernel_from_symbol(b, t, axis))
             for u in corpus:
-                v1, v2 = apply_operator(M1, u), apply_operator(M2, u)
+                v1, v2 = apply_symbol(a, t1, u), apply_symbol(b, t, u)
                 worst = max(worst, float(np.max(np.abs(v1.values - v2.values)))
                             / max(1.0, float(np.max(np.abs(v1.values)))))
     return Report.from_measurement("tau_change", worst, 1e-8, t0,
@@ -381,11 +384,9 @@ def criterion_composition(params: SuiteParams) -> Report:
     worst = 0.0
     for a, b in itertools.product(monos, monos):
         f = compose_terms(a, b)
-        M = operator_matrix(kernel_from_symbol(a, 0.0, axis)).entries \
-            @ operator_matrix(kernel_from_symbol(b, 0.0, axis)).entries
-        Mf = operator_matrix(kernel_from_symbol(f, 0.0, axis)).entries
         for u in corpus:
-            v1, v2 = M @ u.values, Mf @ u.values
+            v1 = apply_symbol(a, 0.0, apply_symbol(b, 0.0, u)).values
+            v2 = apply_symbol(f, 0.0, u).values
             worst = max(worst, float(np.max(np.abs(v1 - v2))) / max(1.0, float(np.max(np.abs(v1)))))
     return Report.from_measurement("composition", worst, 1e-8, t0,
                                    "worst relative action defect, monomial pairs")

@@ -256,9 +256,18 @@ def test_malformed_numbers_exit_2(files, capsys):
         ["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "0:1:0"],
         ["osc-kernel", "--symbol", f("p.toml"), "--chi", f("chi.csv"), "--deltas", "0.5,d"],
     ]
+    # box half-widths whose grid steps 2L/n or pi/L overflow
+    for bad in ("inf", "1e308", "1e-320"):
+        cases += [
+            ["verify", "--suite", "stft", f"--L={bad}"],
+            ["quantize", "--symbol", f("p.toml"), "--tau", 0.5, "--n", N, f"--L={bad}",
+             "--out", f("bad.csv")],
+        ]
     for argv in cases:
         assert run(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error: ")
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, argv
+    assert not Path(f("bad.csv")).exists()
 
 
 def test_weights_rho_list_in_one_table(files):

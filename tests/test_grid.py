@@ -55,6 +55,10 @@ class TestAxisGrid:
             AxisGrid(64, -1.0, 1)
         with pytest.raises(UwqError):
             AxisGrid(64, 8.0, 3)
+        # inf and 1e308 overflow dx = 2L/n, 1e-320 overflows dxi = pi/L
+        for L in (math.inf, 1e308, 1e-320, math.nan):
+            with pytest.raises(UwqError, match="L"):
+                AxisGrid(64, L, 1)
 
 
 class TestFourier:

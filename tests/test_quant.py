@@ -18,6 +18,7 @@ from uwq.quant import (
     anti_wick_direct,
     anti_wick_matrix,
     apply_operator,
+    apply_symbol,
     gauss_smooth,
     hermite_function,
     kernel_from_symbol,
@@ -121,6 +122,12 @@ class TestKernel:
         # an OperatorMatrix already has the dy^d weight folded in
         with pytest.raises(UwqError, match="KernelMatrix"):
             operator_matrix(weyl(ONE, axis))
+
+    def test_apply_operator_needs_operator_matrix(self, axis):
+        # a KernelMatrix lacks the dy^d weight, so applying it is an error
+        u = gaussian_window(axis)
+        with pytest.raises(UwqError, match="OperatorMatrix"):
+            apply_operator(kernel_from_symbol(XI * XI, 0.5, axis), u)
 
     def test_linearity_in_symbol(self, axis):
         a, b = X * XI, XI * XI
@@ -231,6 +238,34 @@ class TestTauChangeMatrices:
                     v1 = M1.entries @ u.values
                     v2 = M2.entries @ u.values
                     assert np.max(np.abs(v1 - v2)) < 1e-8 * max(1.0, np.max(np.abs(v1)))
+
+
+class TestApplySymbol:
+    def test_spectral_derivative_of_mode(self, axis):
+        # xi^3 on a resolved Fourier mode, and x^2 as plain multiplication
+        k = 5 * axis.dxi
+        pts = axis.points()
+        mode = FunctionGrid(axis, np.exp(1j * k * pts))
+        assert np.max(np.abs(apply_symbol(XI * XI * XI, 0.5, mode).values
+                             - k**3 * mode.values)) < 1e-12 * k**3
+        assert np.max(np.abs(apply_symbol(X * X, 0.5, mode).values
+                             - pts**2 * mode.values)) < 1e-12
+
+    def test_odd_power_drops_nyquist_bin(self, axis):
+        xi_n = math.pi * axis.n / (2 * axis.L)
+        nyquist = FunctionGrid(axis, np.exp(-1j * xi_n * axis.points()))
+        assert np.max(np.abs(apply_symbol(XI, 0.0, nyquist).values)) < 1e-12
+        even = apply_symbol(XI * XI, 0.0, nyquist).values
+        assert np.max(np.abs(even - xi_n**2 * nyquist.values)) < 1e-12 * xi_n**2
+
+    def test_rejects_bad_inputs(self, axis):
+        u = gaussian_window(axis)
+        with pytest.raises(UwqError, match="PolySymbol"):
+            apply_symbol(sample_symbol(XI, axis), 0.5, u)
+        with pytest.raises(UwqError, match="dimension"):
+            apply_symbol(PolySymbol.xi(0, 2), 0.5, u)
+        with pytest.raises(UwqError, match="tau must be finite"):
+            apply_symbol(XI, math.nan, u)
 
 
 class TestTransposeMatrices:

@@ -1,0 +1,54 @@
+"""Property test: the matrix-free ``apply_symbol`` is the dense
+tau-quantization operator; it needs hypothesis.
+
+Both paths compute the same discrete operator, so the only defect is
+rounding.  It is bounded relative to sum_terms |c| L^|beta| xi_N^|alpha|
+times max |u|, the size the dense matrix-vector product rounds against
+(xi_N = pi n / 2L is the largest frequency of the grid).  Measured over
+1,200 random symbols and inputs per grid: at most 3.7e-16 (d=1, n=64) and
+3.4e-16 (d=2, n=16) of that scale.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from uwq.expansion import PolySymbol  # noqa: E402
+from uwq.grid import AxisGrid, FunctionGrid  # noqa: E402
+from uwq.quant import apply_symbol, kernel_from_symbol, operator_matrix  # noqa: E402
+
+TOL = 1e-13
+MAX_DEGREE = 4
+GRIDS = {1: AxisGrid(64, 8.0, 1), 2: AxisGrid(16, 4.0, 2)}
+
+coefficients = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                                  allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polys(draw, d):
+    # up to MAX_DEGREE factors, each one of x_1..x_d, xi_1..xi_d
+    exponents = st.lists(st.integers(0, 2 * d - 1), max_size=MAX_DEGREE).map(
+        lambda ix: tuple(ix.count(i) for i in range(2 * d)))
+    terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=6))
+    return PolySymbol(d, {(e[:d], e[d:]): c for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]),
+       tau=st.sampled_from([0.0, 0.25, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_apply_symbol_is_the_dense_operator(data, d, tau, seed):
+    axis = GRIDS[d]
+    a = data.draw(polys(d))
+    rng = np.random.default_rng(seed)
+    u = FunctionGrid(axis, rng.standard_normal(axis.shape) + 1j * rng.standard_normal(axis.shape))
+    dense = operator_matrix(kernel_from_symbol(a, tau, axis)).entries @ u.values.ravel()
+    got = apply_symbol(a, tau, u).values.ravel()
+    xi_n = math.pi * axis.n / (2.0 * axis.L)
+    scale = sum(abs(c) * axis.L ** sum(xe) * xi_n ** sum(ke) for (xe, ke), c in a.terms.items())
+    assert np.max(np.abs(got - dense)) <= TOL * scale * np.max(np.abs(u.values))

@@ -19,6 +19,14 @@ def test_all_criteria_pass_at_n64():
     assert failures(SuiteParams(n=64)) == []
 
 
+@pytest.mark.parametrize("suite", ["tau", "compose"])
+def test_tau_and_compose_pass_at_n256(suite):
+    # a dense xi^6 kernel rounds to ~2e-7 here, 20x composition's 1e-8
+    reports = run_suite(suite, SuiteParams(n=256))
+    assert reports and all(r.status == "pass" for r in reports), \
+        [(r.name, r.measured) for r in reports]
+
+
 def test_two_dimensions_rejected():
     with pytest.raises(UwqError, match="stft_inversion"):
         run_suite("all", SuiteParams(d=2))
