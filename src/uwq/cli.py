@@ -336,8 +336,9 @@ def _parse_density(spec: str) -> CompactDensity:
 def _cmd_gaussconv(args) -> int:
     S = _parse_density(args.density)
     a, b, step = _numbers(args.x.split(":"), "--x a:b:step", 3)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step) and step > 0.0):
-        raise UwqError("--x a:b:step needs finite a, b and a step > 0")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step) and step > 0.0
+            and a <= b):
+        raise UwqError("--x a:b:step needs finite a <= b and a step > 0")
     xs = np.arange(a, b + 0.5 * step, step)
     lines = ["x,via_laplace,direct,relerr"]
     for xv in xs:

@@ -61,6 +61,21 @@ def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
     return nodes, weights
 
 
+def _box(lo, hi) -> tuple:
+    """The support bounds as float arrays; rejects a box that is not finite,
+    whose centre or width overflows, or that has no volume."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hi - lo) & np.isfinite(hi + lo)
+    if not np.all(finite):
+        raise UwqError(f"support box bounds must be finite with a finite width, "
+                       f"got lo={lo.tolist()}, hi={hi.tolist()}")
+    if np.any(hi <= lo):
+        raise UwqError("support box must have positive volume")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class CompactDensity:
     """An integrable density supported on the box [lo, hi]^d, held as values
@@ -73,12 +88,10 @@ class CompactDensity:
     values: np.ndarray   # (m,) complex
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if np.any(hi <= lo):
-            raise UwqError("support box must have positive volume")
-        if np.any(np.asarray(self.weights) <= 0):
-            raise UwqError("quadrature weights must be positive")
+        lo, hi = _box(self.lo, self.hi)
+        w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise UwqError("quadrature weights must be finite and positive")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
@@ -89,8 +102,7 @@ class CompactDensity:
 
     @classmethod
     def from_callable(cls, f: Callable, lo, hi, order: int = 200) -> "CompactDensity":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo, hi = _box(lo, hi)
         nodes, weights = _gl_nodes(lo, hi, order)
         vals = np.asarray(f(nodes), dtype=complex)
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, values=vals)
@@ -103,8 +115,7 @@ class CompactDensity:
     def gaussian_bump(cls, lo, hi, order: int = 200) -> "CompactDensity":
         """exp(1 - 1/(1 - t^2)) in centred box coordinates; all derivatives
         vanish at the boundary."""
-        lo_a = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi_a = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo_a, hi_a = _box(lo, hi)
         mid, half = 0.5 * (lo_a + hi_a), 0.5 * (hi_a - lo_a)
 
         def f(y):
@@ -142,11 +153,13 @@ def laplace(S: CompactDensity, zeta) -> complex:
 
 
 def _check_s_x(S: CompactDensity, s: float, x) -> np.ndarray:
-    if s == 0.0:
-        raise UwqError("s must be nonzero")
+    if not math.isfinite(s) or s == 0.0:
+        raise UwqError(f"s must be finite and nonzero, got {s!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != S.d:
         raise UwqError("x dimension mismatch")
+    if not np.all(np.isfinite(x)):
+        raise UwqError("x must be finite")
     return x
 
 

@@ -424,8 +424,9 @@ def anti_wick_matrix(a, axis: AxisGrid = None) -> OperatorMatrix:
     d, n = axis.d, axis.n
     y_axes = tuple(range(d))
     k_axes = tuple(range(d, 2 * d))
-    # G0 at circular offset z; the window is a tensor product over axes
-    g = window_translates(AxisGrid(n, axis.L, 1))[0]
+    # G0 at circular offset z (row n/2 of the per-axis window table); the
+    # window is a tensor product over axes
+    g = window_translates(axis)[n // 2]
     z = np.arange(n)
     # per axis h[z, k] = dx G0(z) G0(z-k): the dx^{2d} quadrature weight
     # times the 1/dx^d of C leaves one dx per axis

@@ -3,9 +3,23 @@ and the inversion identity V* V = (2 pi)^d.
 
 The window translates are circular shifts of the sampled base window, the
 natural translation on a periodic grid; the periodization they introduce is
-below e^{-L^2/2} and in exchange the discrete inversion identity holds to
-rounding for every grid function, decaying or not.  Transforms are computed
-as n^d independent windowed DFTs (no subsampled lattice).
+below e^{-L^2/2} and in exchange V* V u = (2 pi)^d c^d u holds to rounding
+for every grid function, decaying or not, with c = dx sum_z G0(z)^2 equal
+to 1 up to e^{-L^2} and e^{-pi^2/dx^2}.
+
+The window is a tensor product over axes, so no N x N window (N = n^d) is
+ever formed: each axis uses one n x n circulant table.  The shifted-DFT
+bookkeeping folds into O(N) vectors, because for even n
+
+    fftshift(fft(ifftshift(v)))[k] = fft((-1)^m v[(m + n/2) mod n])[k],
+
+so u is rolled by n/2 and signed before the FFTs, the window table is
+built with its columns in that folded order, and the adjoint undoes the
+roll and the sign on its O(N) result.  In d = 2 the transform along the first axis does
+not depend on the second window centre; it runs on n^3 points, and one
+N^2-sized pass does the second axis along the contiguous last array axis.
+The adjoint mirrors this: one N^2-sized inverse FFT, then the y2 sum brings
+it down to n^3 points.  Each call holds at most two N^2-sized arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +32,6 @@ from .grid import (
     AxisGrid,
     FunctionGrid,
     PhaseFunctionGrid,
-    _shifted_fft,
-    _shifted_ifft,
     l2_norm,
     phase_l2_norm,
 )
@@ -28,32 +40,40 @@ __all__ = ["window_translates", "stft", "stft_adjoint", "stft_norm_check"]
 
 
 def window_translates(axis: AxisGrid) -> np.ndarray:
-    """W[y, t] = G0((x_t - x_y) mod 2L), flattened to (n^d, n^d), real.
+    """G[y, m] = G0((x_t - x_y) mod 2L) with t = (m + n/2) mod n: the
+    window table of one axis, (n, n) and real for every d; the
+    d-dimensional window is the tensor product of this table.
 
     Row y is the sampled unit Gaussian window recentred at grid point y by
-    circular shift; all rows share one l2 norm exactly.
+    circular shift; all rows share one l2 norm exactly.  Its columns are in
+    the folded FFT order, so row n/2 is the window at circular offsets
+    0, 1, ..., n-1 and the table is never needed as the N x N kron(G, G).
     """
     n = axis.n
-    x = axis.points()
-    w1 = math.pi ** (-0.25) * np.exp(-0.5 * x**2)
-    ridx = (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n
-    w1shift = w1[ridx]  # [t, y] -> w1 at (x_t - x_y) wrapped
-    if axis.d == 1:
-        return w1shift.T.copy()
-    full = np.einsum("ac,bd->abcd", w1shift, w1shift)  # [t1,t2,y1,y2]
-    return full.reshape(n * n, n * n).T.copy()
+    w1 = math.pi ** (-0.25) * np.exp(-0.5 * axis.points() ** 2)
+    z = np.arange(n)
+    return w1[(z[None, :] - z[:, None]) % n]
+
+
+def _sign(axis: AxisGrid) -> np.ndarray:
+    """(-1)^(m_1 + ... + m_d) on the grid."""
+    return 1.0 - 2.0 * (np.indices(axis.shape).sum(axis=0) % 2)
 
 
 def stft(u: FunctionGrid) -> PhaseFunctionGrid:
     """V u(y, eta) = F_{t -> eta}( u(t) G0(t - y) ), y over the full grid."""
     axis = u.axis
     d = axis.d
-    W = window_translates(axis)  # (N, N) rows y
-    windowed = W.reshape((axis.size,) + axis.shape) * u.values[None, ...]
-    axes = tuple(range(1, d + 1))
-    spec = _shifted_fft(windowed, axes)
-    vals = (axis.dx**d) * spec
-    return PhaseFunctionGrid(axis, vals.reshape(axis.shape * 2))
+    G = window_translates(axis)
+    v = _sign(axis) * np.fft.ifftshift(u.values)
+    if d == 1:
+        spec = np.fft.fft(G * v, axis=-1)
+    else:
+        # A[y1, k1, m2] does not depend on y2; V = fft_m2(G[y2, m2] A[y1, k1, m2])
+        A = np.fft.fft(G[:, :, None] * v, axis=1)
+        spec = np.fft.fft(A[:, None] * G[:, None, :], axis=-1)
+    spec *= axis.dx**d
+    return PhaseFunctionGrid(axis, spec)
 
 
 def stft_adjoint(F: PhaseFunctionGrid) -> FunctionGrid:
@@ -61,15 +81,18 @@ def stft_adjoint(F: PhaseFunctionGrid) -> FunctionGrid:
     the exact adjoint of ``stft`` for the discrete weighted inner products."""
     axis = F.xaxis
     d = axis.d
-    N = axis.size
-    W = window_translates(axis)
-    rows = F.values.reshape((N,) + axis.shape)
-    axes = tuple(range(1, d + 1))
-    back = _shifted_ifft(rows, axes) / (axis.dx**d)
+    G = window_translates(axis)
     # (2 pi)^{-d} is part of inverse_fourier; dy^d (2 pi)^d remain
-    out = (axis.dx**d) * np.einsum("yt,yt->t", W, back.reshape(N, N))
-    out = (2.0 * math.pi) ** d * out
-    return FunctionGrid(axis, out.reshape(axis.shape))
+    back = np.fft.ifft(F.values, axis=-1)
+    back /= axis.dx**d
+    if d == 1:
+        out = np.einsum("ym,ym->m", G, back)
+    else:
+        # contract y2 down to n^3 points, then the first axis at n^3
+        C = np.fft.ifft(np.einsum("bm,abkm->akm", G, back), axis=1)
+        out = np.einsum("am,amk->mk", G, C)
+    out = (2.0 * math.pi) ** d * ((axis.dx**d) * out)
+    return FunctionGrid(axis, np.fft.fftshift(_sign(axis) * out))
 
 
 def stft_norm_check(u: FunctionGrid) -> dict:

@@ -160,6 +160,21 @@ def test_grid_symbol_quantize_and_inverse_stft(files):
     assert np.max(np.abs(back.values - u.values)) < 1e-3
 
 
+def test_two_dimensional_stft_round_trip(tmp_path):
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    # V*V = (2 pi)^d (dx sum_z G0(z)^2)^d; at L=5 that sum is 1 to 1.6e-11
+    ax2 = AxisGrid(16, 5.0, 2)
+    u = FunctionGrid.from_callable(ax2, lambda x, y: np.exp(-(x - 0.5)**2 - y**2 + 1j * x * y))
+    save_function(u, f("u2.csv"))
+    assert run(["stft", "--in", f("u2.csv"), "--out", f("V2.csv")]) == 0
+    assert Path(f("V2.csv")).read_text().splitlines()[0] == "# n=16 L=5 d=2 kind=phase"
+    assert np.array_equal(load_phase(f("V2.csv")).values, stft(u).values)
+    assert run(["stft", "--inverse", "--in", f("V2.csv"), "--out", f("back2.csv")]) == 0
+    back = load_function(f("back2.csv"))
+    assert back.axis == ax2
+    assert np.max(np.abs(back.values - u.values)) < 1e-10
+
+
 def test_out_goes_to_file(files, capsys):
     f = files
     assert run(["antiwick", "--symbol", f("p.toml"), "--n", N, "--L", L,
@@ -235,6 +250,34 @@ def test_non_finite_tau_exits_2(files, bad, capsys):
 
 def test_non_finite_laplace_point_exits_2():
     assert run(["laplace", "--density", "indicator:-1:1", "--zeta", "nan:0"]) == 2
+
+
+def test_gaussconv_and_laplace_inputs_rejected(capsys):
+    box = "error: support box bounds must be finite"
+    cases = []
+    for bounds in ("-1:nan", "nan:1", "-inf:1", "-1:inf", "-1e308:1e308"):
+        cases += [
+            (["laplace", "--density", f"bump:{bounds}", "--zeta", "0:0"], box),
+            (["laplace", "--density", f"indicator:{bounds}", "--zeta", "0:0"], box),
+            (["gaussconv", "--density", f"polybump:1,1:{bounds}", "--s=-1", "--x", "0:1:0.5"],
+             box),
+        ]
+    cases += [
+        (["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "1:0:0.5"],
+         "error: --x a:b:step needs finite a <= b"),
+        (["gaussconv", "--density", "bump:-1:1", "--s", "nan", "--x", "0:1:0.5"],
+         "error: s must be finite and nonzero"),
+        (["gaussconv", "--density", "bump:-1:1", "--s", "inf", "--x", "0:1:0.5"],
+         "error: s must be finite and nonzero"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv
+        assert out.err.startswith(message), (argv, out.err)
+    # a one-point range is legal
+    assert run(["gaussconv", "--density", "bump:-1:1", "--s=-1", "--x", "1:1:0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_malformed_numbers_exit_2(files, capsys):

@@ -48,6 +48,42 @@ def test_laplace_rejects_non_finite_points(zeta):
         laplace(DENSITIES["bump"], zeta)
 
 
+BAD_BOXES = [(-1.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf),
+             (-1e308, 1e308), (1e308, 1.5e308)]
+
+
+@pytest.mark.parametrize("lo, hi", BAD_BOXES)
+@pytest.mark.parametrize("build", [
+    CompactDensity.indicator,
+    CompactDensity.gaussian_bump,
+    lambda lo, hi: CompactDensity.poly_times_bump([1.0, 2.0], lo, hi),
+])
+def test_density_rejects_non_finite_box(build, lo, hi):
+    with pytest.raises(UwqError, match="must be finite"):
+        build(lo, hi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_rejects_non_finite_weights(bad):
+    S = DENSITIES["indicator"]
+    weights = S.weights.copy()
+    weights[3] = bad
+    with pytest.raises(UwqError, match="weights must be finite"):
+        CompactDensity(lo=S.lo, hi=S.hi, nodes=S.nodes, weights=weights, values=S.values)
+    with pytest.raises(UwqError, match="must be finite"):
+        CompactDensity(lo=S.lo, hi=np.array([bad]), nodes=S.nodes, weights=S.weights,
+                       values=S.values)
+
+
+@pytest.mark.parametrize("s, x", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                  (0.0, 0.0), (-1.0, math.nan), (-1.0, math.inf)])
+def test_convolution_rejects_non_finite_s_and_x(s, x):
+    S = DENSITIES["bump"]
+    for conv in (conv_gauss_via_laplace, conv_gauss_direct):
+        with pytest.raises(UwqError, match="must be finite"):
+            conv(S, s, x)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_exponents_raise():
     # each exponent is past exp's float range; the guards report it instead

@@ -77,7 +77,9 @@ def window_pair_sum(a):
     summed one window centre y at a time, O(N^3)."""
     axis = a.xaxis
     d, n, N = axis.d, axis.n, axis.size
-    W = window_translates(axis)
+    W = np.roll(window_translates(axis), n // 2, axis=1)  # [y, t], t in grid order
+    if d == 2:
+        W = np.kron(W, W)
     xi_axes = tuple(range(d, 2 * d))
     C = np.fft.fftshift(
         np.fft.ifftn(np.fft.ifftshift(a.values, axes=xi_axes), axes=xi_axes), axes=xi_axes

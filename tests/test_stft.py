@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from uwq.grid import (
     AxisGrid,
     FunctionGrid,
     PhaseFunctionGrid,
+    _shifted_fft,
+    _shifted_ifft,
     gaussian_window,
     inner,
     l2_norm,
     phase_inner,
 )
 from uwq.quant import hermite_function
-from uwq.stft import stft, stft_adjoint, stft_norm_check
+from uwq.stft import stft, stft_adjoint, stft_norm_check, window_translates
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,6 +34,40 @@ def band_limited(axis, seed, half_width=20):
         2 * half_width
     ) + 1j * rng.standard_normal(2 * half_width)
     return FunctionGrid(axis, np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spec))) * n)
+
+
+def random_function(axis, seed):
+    rng = np.random.default_rng(seed)
+    return FunctionGrid(axis, rng.standard_normal(axis.shape) + 1j * rng.standard_normal(axis.shape))
+
+
+def random_phase(axis, seed):
+    rng = np.random.default_rng(seed)
+    shape = axis.shape * 2
+    return PhaseFunctionGrid(axis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def dense_window(axis):
+    """The (N, N) window matrix W[y, t] = G0(t - y), the tensor product of
+    the per-axis table."""
+    W = np.roll(window_translates(axis), axis.n // 2, axis=1)
+    return W if axis.d == 1 else np.kron(W, W)
+
+
+def dense_stft(u):
+    """V u as N windowed shifted DFTs, one per window centre y."""
+    axis, d = u.axis, u.axis.d
+    windowed = dense_window(axis).reshape((axis.size,) + axis.shape) * u.values[None, ...]
+    spec = _shifted_fft(windowed, tuple(range(1, d + 1)))
+    return (axis.dx**d) * spec.reshape(axis.shape * 2)
+
+
+def dense_stft_adjoint(F):
+    axis, d, N = F.xaxis, F.xaxis.d, F.xaxis.size
+    rows = F.values.reshape((N,) + axis.shape)
+    back = _shifted_ifft(rows, tuple(range(1, d + 1))) / (axis.dx**d)
+    out = (axis.dx**d) * np.einsum("yt,yt->t", dense_window(axis), back.reshape(N, N))
+    return ((2.0 * math.pi) ** d * out).reshape(axis.shape)
 
 
 def corpus(axis):
@@ -127,3 +164,52 @@ class TestTwoDimensions:
         assert np.max(np.abs(rec.values / TWO_PI**2 - g.values)) < 1e-10
         res = stft_norm_check(g)
         assert abs(res["lhs"] - res["rhs"]) < 1e-10 * res["rhs"]
+
+    def test_adjointness(self):
+        ax2 = AxisGrid(32, 8.0, 2)
+        u, F = random_function(ax2, 12), random_phase(ax2, 13)
+        lhs = phase_inner(stft(u), F)
+        rhs = inner(u, stft_adjoint(F))
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+    def test_axes_are_not_swapped(self):
+        # a window off the diagonal: V u must keep (y1, y2, eta1, eta2) apart
+        ax2 = AxisGrid(32, 8.0, 2)
+        V = stft(gaussian_window(ax2, y=(1.5, 0.0), eta=(0.0, -2.0))).values
+        y, eta = ax2.points(), ax2.dual().points()
+        peak = np.unravel_index(np.argmax(np.abs(V)), V.shape)
+        assert (y[peak[0]], y[peak[1]], eta[peak[2]], eta[peak[3]]) == pytest.approx(
+            (1.5, 0.0, 0.0, -2.0), abs=0.5 * ax2.dx)
+
+
+class TestDenseReference:
+    """The separable transforms against the N x N window matrix."""
+
+    def test_one_dimension_is_bitwise(self, axis):
+        u, F = random_function(axis, 14), random_phase(axis, 15)
+        assert np.array_equal(stft(u).values, dense_stft(u))
+        assert np.array_equal(stft_adjoint(F).values, dense_stft_adjoint(F))
+
+    def test_two_dimensions(self):
+        ax2 = AxisGrid(16, 4.0, 2)
+        u, F = random_function(ax2, 16), random_phase(ax2, 17)
+        ref, ref_adj = dense_stft(u), dense_stft_adjoint(F)
+        assert np.max(np.abs(stft(u).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(stft_adjoint(F).values - ref_adj)) <= 1e-14 * np.max(np.abs(ref_adj))
+
+
+def traced_peak_mib(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_dimensional_memory():
+    # one N^2-sized complex array is 16 MiB here: stft holds its result and
+    # one windowed product, stft_adjoint one inverse transform
+    ax2 = AxisGrid(32, 8.0, 2)
+    assert traced_peak_mib(stft, random_function(ax2, 18)) <= 34.0
+    assert traced_peak_mib(stft_adjoint, random_phase(ax2, 19)) <= 18.0
