@@ -15,7 +15,6 @@ DEFAULT_L_2D = 8.0
 
 # Quantization identity checks run on a tighter box so that polynomial
 # symbols stay in a numerically comfortable range.
-QUANT_N = 128
 QUANT_L = 8.0
 
 # Weight-sequence machinery.

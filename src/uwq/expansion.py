@@ -444,21 +444,11 @@ def tau_change_terms(a: PolySymbol, tau1: float, tau: float) -> PolySymbol:
 
 
 def transpose_terms(a: PolySymbol, tau: float) -> PolySymbol:
-    """Symbol of the plain transpose: apply (-d_xi)^alpha D_x^alpha to a,
-    weight by (1-2 tau)^{|alpha|}/alpha!, sum, then substitute xi -> -xi."""
+    """Symbol of the plain transpose, Op_tau(a)^T = Op_tau(b): the transpose
+    is the change of ordering Op_tau(a)^T = Op_{1-tau}(a(x, -xi)), so b is
+    the tau-change of a(x, -xi) from 1 - tau to tau."""
     tv = _finite_tau(tau)
-    d = a.d
-    out = PolySymbol.zero(d)
-    max_order = min(a.x_degree(), a.xi_degree())
-    for m in range(0, max(0, max_order) + 1):
-        for alpha in compositions(m, d):
-            dp = poly_derive(a, alpha, alpha, convention="partial")
-            if dp.is_zero():
-                continue
-            # (-d_xi)^alpha D_x^alpha = (-1)^{|alpha|} (-i)^{|alpha|} d^alpha d^alpha
-            coeff = ((1.0 - 2.0 * tv) ** m if m else 1.0) * (1j) ** m / multi_factorial(alpha)
-            out = out + dp * coeff
-    return out.reflect_xi()
+    return tau_change_terms(a.reflect_xi(), 1.0 - tv, tv)
 
 
 def compose_terms(a: PolySymbol, b: PolySymbol) -> PolySymbol:

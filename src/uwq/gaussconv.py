@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -240,7 +240,6 @@ class OscillatoryReport:
     values: tuple
     diffs: tuple
     extrapolated: complex
-    measured_order: Optional[float]
 
 
 def _symbol_terms(b):
@@ -267,7 +266,7 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
                         chi(x, y) dx dy dxi
 
     for each delta of a strictly decreasing ladder, plus an extrapolation to
-    delta -> 0 at the measured convergence order (Aitken step).  ``psi`` is
+    delta -> 0 by one Aitken step on the last two differences.  ``psi`` is
     a smooth compactly supported plateau equal to 1 near 0; its support
     bounds the xi quadrature exactly, which is what makes fixed boxes sound.
 
@@ -318,11 +317,8 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
         w = psi(dl * xi)
         values.append(complex(np.sum(w * T) / (M * dx)))
     diffs = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
-    order = None
     extrap = values[-1]
     if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] > 0:
-        ratio = deltas[-2] / deltas[-1]
-        order = math.log(diffs[-2] / diffs[-1]) / math.log(ratio)
         denom = diffs[-2] - diffs[-1]
         if abs(denom) > 1e-300:
             step = (values[-1] - values[-2]) * diffs[-1] / denom
@@ -332,5 +328,4 @@ def oscillatory_kernel(b, chi: FunctionGrid, delta_list: Sequence[float],
         values=tuple(values),
         diffs=tuple(diffs),
         extrapolated=extrap,
-        measured_order=order,
     )

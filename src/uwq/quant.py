@@ -171,7 +171,11 @@ def _symbol_axis(a, axis: AxisGrid = None) -> AxisGrid:
     if isinstance(a, PolySymbol):
         if axis is None:
             raise UwqError("polynomial path needs an explicit axis")
+        if a.d != axis.d:
+            raise UwqError("symbol dimension does not match the grid")
         return axis
+    if not isinstance(a, PhaseFunctionGrid):
+        raise UwqError(f"expected a PolySymbol or PhaseFunctionGrid, got {type(a).__name__}")
     if axis is not None and axis != a.xaxis:
         raise UwqError("axis argument conflicts with the symbol's grid")
     return a.xaxis

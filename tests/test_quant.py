@@ -13,6 +13,7 @@ from uwq.expansion import (
     tau_change_terms,
     transpose_terms,
 )
+from uwq.gaussconv import SeparableSymbol
 from uwq.grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, inner
 from uwq.quant import (
     anti_wick_direct,
@@ -469,12 +470,14 @@ class TestFiniteTau:
 
 
 class TestAxisArgument:
-    """A PolySymbol needs an axis; a sampled symbol rejects a different one."""
+    """A PolySymbol needs an axis of its own dimension; a sampled symbol
+    rejects a different one; any other symbol type is rejected."""
 
     ENTRY_POINTS = {
         "kernel_from_symbol": lambda a, axis: kernel_from_symbol(a, 0.5, axis),
         "anti_wick_matrix": anti_wick_matrix,
         "verify_smoothing_identity": verify_smoothing_identity,
+        "weyl": weyl,
     }
 
     @pytest.fixture(scope="class")
@@ -489,6 +492,24 @@ class TestAxisArgument:
         with pytest.raises(UwqError, match="needs an explicit axis"):
             call(XI * XI, None)
         assert call(grid_symbol, AxisGrid(32, 4.0, 1)) is not None
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_dimension_mismatch_rejected(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        with pytest.raises(UwqError, match="symbol dimension does not match the grid"):
+            call(X * XI, AxisGrid(8, 4.0, 2))
+        with pytest.raises(UwqError, match="symbol dimension does not match the grid"):
+            call(PolySymbol.x(0, d=2), AxisGrid(16, 4.0, 1))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_unquantizable_symbol_rejected(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        separable = SeparableSymbol(fx=np.exp, fxi=np.exp)
+        for a, name in ((separable, "SeparableSymbol"), (np.ones((16, 16)), "ndarray")):
+            with pytest.raises(UwqError, match=f"PhaseFunctionGrid, got {name}"):
+                call(a, AxisGrid(16, 4.0, 1))
+            with pytest.raises(UwqError, match=f"PhaseFunctionGrid, got {name}"):
+                call(a, None)
 
 
 class TestTwoDimensions:
