@@ -7,11 +7,21 @@ Anti-Wick -> Weyl expansion reproduces it term by term, and the inverse
 recursion inverts it.  Coefficients are complex floats; factorials and
 Gaussian moments are exact (moments are dyadic rationals (k-1)!!/2^(k/2)).
 Comparisons absorb float rounding at relative 1e-12.
+
+Validation happens once, at the edge.  The public ``PolySymbol(d, terms)``
+checks every key; the algebra (``+``, ``-``, ``*``, ``reflect_xi``,
+``poly_derive``) builds its results from keys it made itself out of valid
+ones, so it skips that check and only drops exact zeros.  The heat slices
+behind the Anti-Wick -> Weyl expansion enumerate only the derivative pairs
+inside the symbol's degree box; every pair outside it differentiates the
+symbol to zero.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -46,12 +56,19 @@ MultiIndex = Tuple[int, ...]
 
 
 def _as_midx(alpha, d: int) -> MultiIndex:
-    if isinstance(alpha, int):
+    """``alpha`` as a d-tuple of non-negative Python ints.  Only Python and
+    numpy integers are exponents (a bare one in dimension 1); bools, floats,
+    strings and anything else raise UwqError instead of being truncated."""
+    if isinstance(alpha, (int, np.integer)):
         if d != 1:
             raise UwqError("scalar exponent only valid in dimension 1")
         alpha = (alpha,)
-    t = tuple(int(a) for a in alpha)
-    if len(t) != d or any(a < 0 for a in t):
+    try:
+        alpha = tuple(alpha)
+        t = tuple(map(operator.index, alpha))
+    except TypeError:
+        raise UwqError(f"multi-index {alpha!r} must hold integers") from None
+    if len(t) != d or min(t, default=0) < 0 or bool in map(type, alpha):
         raise UwqError(f"multi-index {alpha!r} invalid for dimension {d}")
     return t
 
@@ -65,27 +82,42 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 def compositions(total: int, slots: int) -> Iterable[MultiIndex]:
     """All tuples of ``slots`` non-negative ints summing to ``total``."""
-    if slots == 1:
-        yield (total,)
+    return _capped_compositions(total, (total,) * slots)
+
+
+def _capped_compositions(total: int, caps: MultiIndex) -> Iterable[MultiIndex]:
+    """The tuples of ``compositions(total, len(caps))`` with every part at
+    most its cap, in the same (lexicographic) order."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, slots - 1):
+    room = sum(caps[1:])
+    for head in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _capped_compositions(total - head, caps[1:]):
             yield (head,) + rest
 
 
 class PolySymbol:
     """Polynomial in (x, xi) as a map (x-exponents, xi-exponents) -> coeff.
 
-    Terms with exactly zero coefficient are never stored; iteration order is
-    canonical (graded, then lexicographic) so serialization is deterministic.
+    Terms with exactly zero coefficient are never stored.  ``terms`` keeps
+    insertion order, which fixes the order of later sums; ``sorted_terms``
+    gives the canonical (graded, then lexicographic) order for output.
     Instances are treated as immutable values.
+
+    ``PolySymbol(d, terms)`` validates: d is an integer >= 1 and every key
+    holds two d-tuples of non-negative integers (``_as_midx``).  Results of
+    the algebra are built from keys the algebra made out of valid ones and
+    go through ``_trusted``, which only drops exact zeros.
     """
 
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: Optional[Dict] = None):
-        if d < 1:
-            raise UwqError("dimension must be >= 1")
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise UwqError(f"dimension must be an integer >= 1, got {d!r}")
+        d = int(d)
         self.d = d
         clean: Dict[Tuple[MultiIndex, MultiIndex], complex] = {}
         for (xe, ke), c in (terms or {}).items():
@@ -95,6 +127,15 @@ class PolySymbol:
             if c != 0:
                 clean[(xe, ke)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, d: int, terms: Dict) -> "PolySymbol":
+        """A symbol on keys the algebra made from valid keys: no check, and
+        only exact zeros are dropped (insertion order is kept)."""
+        self = object.__new__(cls)
+        self.d = d
+        self.terms = {k: c for k, c in terms.items() if c != 0}
+        return self
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -127,38 +168,48 @@ class PolySymbol:
             raise UwqError("dimension mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if not isinstance(other, PolySymbol):
+            if not isinstance(other, numbers.Number):
+                return NotImplemented
             other = PolySymbol(self.d, {(((0,) * self.d), ((0,) * self.d)): other})
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0.0) + c
-        return PolySymbol(self.d, out)
+        return PolySymbol._trusted(self.d, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolySymbol(self.d, {k: -c for k, c in self.terms.items()})
+        return PolySymbol._trusted(self.d, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PolySymbol) else -complex(other))
+        if isinstance(other, PolySymbol):
+            return self + (-other)
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
+        return self + -complex(other)
 
     def __rsub__(self, other):
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return PolySymbol(self.d, {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, PolySymbol):
+            if not isinstance(other, numbers.Number):
+                return NotImplemented
+            if isinstance(other, np.generic):
+                other = other.item()   # keep coefficients Python complex
+            return PolySymbol._trusted(self.d, {k: c * other for k, c in self.terms.items()})
         self._check(other)
         out: Dict = {}
+        add = operator.add
         for (xa, ka), ca in self.terms.items():
             for (xb, kb), cb in other.terms.items():
-                key = (
-                    tuple(i + j for i, j in zip(xa, xb)),
-                    tuple(i + j for i, j in zip(ka, kb)),
-                )
+                key = (tuple(map(add, xa, xb)), tuple(map(add, ka, kb)))
                 out[key] = out.get(key, 0.0) + ca * cb
-        return PolySymbol(self.d, out)
+        return PolySymbol._trusted(self.d, out)
 
     __rmul__ = __mul__
 
@@ -196,7 +247,7 @@ class PolySymbol:
 
     def reflect_xi(self) -> "PolySymbol":
         """Substitute xi -> -xi."""
-        return PolySymbol(
+        return PolySymbol._trusted(
             self.d,
             {(xe, ke): c * (-1.0) ** sum(ke) for (xe, ke), c in self.terms.items()},
         )
@@ -257,8 +308,9 @@ def poly_derive(p: PolySymbol, alpha=None, beta=None, convention: str = "partial
     alpha = _as_midx(alpha if alpha is not None else (0,) * d, d)
     beta = _as_midx(beta if beta is not None else (0,) * d, d)
     out: Dict = {}
+    ge, sub = operator.ge, operator.sub
     for (xe, ke), c in p.terms.items():
-        if any(e < a for e, a in zip(ke, alpha)) or any(e < b for e, b in zip(xe, beta)):
+        if not (all(map(ge, ke, alpha)) and all(map(ge, xe, beta))):
             continue
         coeff = c
         for e, a in zip(ke, alpha):
@@ -267,12 +319,9 @@ def poly_derive(p: PolySymbol, alpha=None, beta=None, convention: str = "partial
         for e, b in zip(xe, beta):
             for j in range(b):
                 coeff *= e - j
-        key = (
-            tuple(e - b for e, b in zip(xe, beta)),
-            tuple(e - a for e, a in zip(ke, alpha)),
-        )
+        key = (tuple(map(sub, xe, beta)), tuple(map(sub, ke, alpha)))
         out[key] = out.get(key, 0.0) + coeff
-    res = PolySymbol(d, out)
+    res = PolySymbol._trusted(d, out)
     if convention == "D":
         res = res * (-1j) ** (sum(alpha) + sum(beta))
     elif convention != "partial":
@@ -309,18 +358,32 @@ def moment_coeff(alpha, beta, d: Optional[int] = None) -> float:
     return out
 
 
-def _even_pairs(j: int, d: int) -> Iterable[Tuple[MultiIndex, MultiIndex]]:
-    """All (alpha, beta) with every component even and |alpha + beta| = 2j,
-    enumerated via half-indices."""
-    for half in compositions(j, 2 * d):
+def _even_pairs(j: int, kcap: MultiIndex, xcap: MultiIndex
+                ) -> Iterable[Tuple[MultiIndex, MultiIndex]]:
+    """All (alpha, beta) with every component even, |alpha + beta| = 2j,
+    alpha <= kcap and beta <= xcap componentwise, enumerated via
+    half-indices in the order of ``compositions(j, 2d)``."""
+    d = len(kcap)
+    caps = tuple(c // 2 for c in kcap + xcap)
+    for half in _capped_compositions(j, caps):
         yield tuple(2 * a for a in half[:d]), tuple(2 * b for b in half[d:])
 
 
 def _heat_slice(p: PolySymbol, l: int) -> PolySymbol:
-    """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p."""
-    out = PolySymbol.zero(p.d)
-    for alpha, beta in _even_pairs(l, p.d):
-        c = moment_coeff(alpha, beta, p.d)
+    """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p.
+
+    Only pairs inside the degree box of p (alpha_i <= max xi_i-exponent,
+    beta_i <= max x_i-exponent) are enumerated.  Outside it the derivative
+    is exactly zero and adds no term, so the sum and its order equal those
+    of the full enumeration."""
+    d = p.d
+    out = PolySymbol.zero(d)
+    if p.is_zero():
+        return out
+    xes, kes = zip(*p.terms)
+    kcap, xcap = tuple(map(max, zip(*kes))), tuple(map(max, zip(*xes)))
+    for alpha, beta in _even_pairs(l, kcap, xcap):
+        c = moment_coeff(alpha, beta, d)
         dp = poly_derive(p, alpha, beta)
         if not dp.is_zero():
             out = out + dp * (c / (multi_factorial(alpha) * multi_factorial(beta)))

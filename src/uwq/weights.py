@@ -398,13 +398,19 @@ def verify_ultrapoly_bound(P: Ultrapolynomial, k: float, grid: Sequence[float]) 
     if k <= 0:
         raise UwqError("k must be positive")
     ax = np.abs(np.asarray(grid, dtype=float))
+    return _bound_report(P, k, ax, _log_factor_sums(P, ax))
+
+
+def _bound_report(P: Ultrapolynomial, k: float, ax: np.ndarray,
+                  log_sums: np.ndarray) -> BoundReport:
+    """``verify_ultrapoly_bound`` at k on the points |x| = ``ax``, given
+    their k-independent ``_log_factor_sums``."""
     m_val = np.zeros(ax.shape)  # the associated function vanishes as rho -> 0+
     nonzero = ax != 0.0
     res = assoc_fn(P.weight, ax[nonzero] / k)
     if np.any(res.saturated):
         raise SaturationError("associated function saturated on the bound-check grid")
     m_val[nonzero] = res.value
-    log_sums = _log_factor_sums(P, ax)
     best = math.inf
     arg = 0
     for i, x in enumerate(ax.tolist()):
@@ -420,9 +426,12 @@ def verify_ultrapoly_bound(P: Ultrapolynomial, k: float, grid: Sequence[float]) 
 
 def fit_bound_scale(P: Ultrapolynomial, grid: Sequence[float]) -> Optional[float]:
     """Smallest k on ``BOUND_K_LADDER`` for which the lower bound check
-    passes."""
+    passes.  The log factor sums do not depend on k, so every rung reuses
+    one table."""
+    ax = np.abs(np.asarray(grid, dtype=float))
+    log_sums = _log_factor_sums(P, ax)
     for k in BOUND_K_LADDER:
-        if verify_ultrapoly_bound(P, k, grid).ok:
+        if _bound_report(P, k, ax, log_sums).ok:
             return k
     return None
 

@@ -450,3 +450,21 @@ def test_osc_kernel_rejects_unresolved_band(files, capsys):
                 "--deltas", "0.5,0.05", "--out", f("osc.csv")]) == 2
     assert "band edge" in capsys.readouterr().err
     assert not Path(f("osc.csv")).exists()
+
+
+GOLDEN = Path(__file__).parent / "golden" / "expand"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name,theorem", [
+    ("aw", "aw"), ("inverse", "inverse"), ("tau", "tau:0.3:0.7"),
+    ("transpose", "transpose:0.25"), ("compose", "compose:{b}")])
+def test_expand_output_is_golden(tmp_path, d, name, theorem):
+    """``uwq expand`` writes exactly the bytes recorded in tests/golden/expand
+    (a{d}_{name}.csv), for a d=1 and a d=2 symbol a{d}.toml; compose takes
+    b{d}.toml as its right factor."""
+    out = tmp_path / "e.csv"
+    theorem = theorem.format(b=GOLDEN / f"b{d}.toml")
+    assert run(["expand", "--symbol", GOLDEN / f"a{d}.toml", "--theorem", theorem,
+                "--out", out]) == 0
+    assert out.read_bytes() == (GOLDEN / f"a{d}_{name}.csv").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from uwq.errors import UwqError
 from uwq.expansion import (
     ClassParams,
+    _heat_slice,
     PolySymbol,
     aw_to_weyl_terms,
     compose_terms,
@@ -74,6 +75,44 @@ class TestPolySymbol:
     def test_dimension_mismatch(self):
         with pytest.raises(UwqError):
             X + PolySymbol.x(d=2)
+
+    @pytest.mark.parametrize("exponent", [
+        (1.5,), ("3",), (True,), (np.True_,), (float("nan"),), 2.7, True, None, "3", (-1,),
+        (1, 2)])
+    def test_exponent_must_be_a_nonnegative_integer(self, exponent):
+        with pytest.raises(UwqError):
+            PolySymbol(1, {(exponent, (0,)): 1.0})
+        with pytest.raises(UwqError):
+            PolySymbol.monomial(1, (0,), exponent)
+
+    def test_numpy_integer_exponents_become_python_ints(self):
+        for exponent in (np.int64(2), (np.int32(2),), (np.uint8(2),), 2):
+            p = PolySymbol(1, {(exponent, (1,)): 1.0})
+            assert p == PolySymbol.monomial(1, [2], [np.int64(1)])
+            ((xe, ke),) = p.terms
+            assert type(xe[0]) is int and type(ke[0]) is int
+
+    @pytest.mark.parametrize("d", [0, -1, 1.5, True, "1", None])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(UwqError):
+            PolySymbol(d, {})
+
+    def test_scalar_arithmetic_with_numpy_numbers(self):
+        p = X * XI + 1.0
+        for one in (np.int64(1), np.int32(1), np.float64(1.0), 1):
+            assert p + one == one + p == p + 1
+            assert p - one == p - 1 and one - p == 1 - p
+        for two in (np.int64(2), np.int32(2), np.float32(2.0), 2):
+            for prod in (p * two, two * p):
+                assert prod == p * 2
+                assert all(type(c) is complex for c in prod.terms.values())
+
+    @pytest.mark.parametrize("other", ["a", [1], {1: 2}, None])
+    def test_non_numbers_raise_type_error(self, other):
+        for op in (lambda: X + other, lambda: other + X, lambda: X - other,
+                   lambda: other - X, lambda: X * other, lambda: other * X):
+            with pytest.raises(TypeError):
+                op()
 
 
 class TestDerive:
@@ -305,3 +344,45 @@ class TestHelpers:
     def test_compositions_count(self):
         assert len(list(compositions(4, 2))) == 5
         assert set(compositions(2, 2)) == {(0, 2), (1, 1), (2, 0)}
+
+
+def full_heat_slice(p, l):
+    """The heat slice over every even (alpha, beta) with |alpha + beta| = 2l,
+    no degree box: the reference the pruned enumeration must reproduce."""
+    d = p.d
+    out = PolySymbol.zero(d)
+    for half in compositions(l, 2 * d):
+        alpha = tuple(2 * a for a in half[:d])
+        beta = tuple(2 * b for b in half[d:])
+        dp = poly_derive(p, alpha, beta)
+        if not dp.is_zero():
+            c = moment_coeff(alpha, beta, d)
+            out = out + dp * (c / (multi_factorial(alpha) * multi_factorial(beta)))
+    return out
+
+
+class TestHeatSlicePruning:
+    @pytest.mark.parametrize("p", monomials_1d(6) + random_polys_2d(3) + [
+        PolySymbol.zero(2),
+        PolySymbol(2, {((4, 0), (0, 3)): 1.5 - 2j, ((0, 2), (5, 0)): -0.25j}),
+        PolySymbol(2, {((7, 1), (2, 2)): 1 / 3, ((1, 0), (0, 6)): 2.0}),
+    ], ids=repr)
+    def test_equals_full_enumeration_bitwise(self, p):
+        for l in range(0, p.degree() // 2 + 3):
+            got, want = _heat_slice(p, l), full_heat_slice(p, l)
+            assert list(got.terms) == list(want.terms)
+            assert [(c.real.hex(), c.imag.hex()) for c in got.terms.values()] == \
+                [(c.real.hex(), c.imag.hex()) for c in want.terms.values()]
+
+    def test_derives_only_inside_the_degree_box(self, monkeypatch):
+        import uwq.expansion as ex
+
+        seen = []
+        derive = ex.poly_derive
+        monkeypatch.setattr(ex, "poly_derive",
+                            lambda p, a, b: seen.append((a, b)) or derive(p, a, b))
+        p = PolySymbol(2, {((2, 0), (0, 4)): 1.0, ((0, 0), (2, 0)): 1.0})
+        ex._heat_slice(p, 2)
+        # x-box (2, 0), xi-box (2, 4): half-caps (1, 2 | 1, 0) at total 2
+        assert seen == [((0, 2), (2, 0)), ((0, 4), (0, 0)), ((2, 0), (2, 0)),
+                        ((2, 2), (0, 0))]

@@ -14,9 +14,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from uwq.expansion import (  # noqa: E402
     PolySymbol,
+    aw_to_weyl_terms,
     compose_terms,
     heat_quarter,
+    inverse_aw_recursion,
     poly_allclose,
+    poly_derive,
     tau_change_terms,
     transpose_terms,
 )
@@ -74,3 +77,33 @@ def test_composition_is_associative(data, d):
     a, b, c = (data.draw(polys(d)) for _ in range(3))
     ab, bc = compose_terms(a, b), compose_terms(b, c)
     assert close(compose_terms(ab, c), compose_terms(a, bc), a, b, c, ab, bc)
+
+
+def assert_valid_symbol(r, d):
+    """What the public constructor would have checked: d-tuples of
+    non-negative Python ints, no zero coefficient, and re-validating changes
+    nothing, key order included."""
+    assert r.d == d
+    for key, c in r.terms.items():
+        assert len(key) == 2
+        for e in key:
+            assert type(e) is tuple and len(e) == d
+            assert all(type(v) is int and v >= 0 for v in e)
+        assert type(c) is complex and c != 0
+    assert list(PolySymbol(r.d, r.terms).terms.items()) == list(r.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=dims, tau=taus, c=coefficients,
+       order=st.tuples(*[st.integers(0, 3)] * 4))
+def test_algebra_results_are_valid_symbols(data, d, tau, c, order):
+    a, b = data.draw(polys(d)), data.draw(polys(d))
+    alpha, beta = order[:d], order[2:2 + d]
+    results = [a + b, a - b, a * b, a * c, c * a, a * 2, -a, a + c, c - a,
+               a.reflect_xi(), poly_derive(a, alpha, beta),
+               poly_derive(a, alpha, beta, convention="D"),
+               heat_quarter(a, +1), heat_quarter(a, -1),
+               tau_change_terms(a, tau, 0.5), transpose_terms(a, tau), compose_terms(a, b),
+               inverse_aw_recursion(a).a, *aw_to_weyl_terms(a).terms]
+    for r in results:
+        assert_valid_symbol(r, d)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uwq.constants import BOUND_K_LADDER
 from uwq.errors import SaturationError, TailBoundError, UwqError
 from uwq.expansion import ClassParams, PolySymbol, compositions, gamma_norm_estimate, poly_derive
 from uwq.weights import (
@@ -17,6 +18,7 @@ from uwq.weights import (
     ultrapoly_eval,
     verify_ultrapoly_bound,
 )
+import uwq.weights as wt
 from uwq.weights import _BLOCK_BYTES
 
 
@@ -369,6 +371,23 @@ class TestLowerBound:
         k = fit_bound_scale(P, grid)
         assert k is not None
         assert verify_ultrapoly_bound(P, k, grid).ok
+
+    def test_fit_reuses_one_log_table_across_rungs(self, monkeypatch):
+        # s = 1.5 at scale 16 first passes on the third rung, k = 1
+        P = Ultrapolynomial(weight=WeightSequence.gevrey(1.5, truncation=192), scale=16.0,
+                            q=1, truncation=20000)
+        grid = np.linspace(0.0, 50.0, 200)
+        reports = [verify_ultrapoly_bound(P, k, grid) for k in BOUND_K_LADDER]
+        assert [rep.ok for rep in reports[:3]] == [False, False, True]
+        table = wt._log_factor_sums
+        log_sums = table(P, np.abs(grid))
+        for k, rep in zip(BOUND_K_LADDER, reports):
+            assert wt._bound_report(P, k, np.abs(grid), log_sums) == rep
+        calls = []
+        monkeypatch.setattr(wt, "_log_factor_sums",
+                            lambda *args: calls.append(args) or table(*args))
+        assert fit_bound_scale(P, grid) == 1.0
+        assert len(calls) == 1
 
     def test_tiny_scale_fails(self, wide):
         P = Ultrapolynomial(weight=wide, scale=1.0, q=1, truncation=20000)
