@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import tomllib
+from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
@@ -160,16 +161,8 @@ def load_symbol(path):
 
 def emit_report(reports: List[Report], header: dict) -> bytes:
     """The ``verify --json`` document: the run header and one record per
-    criterion."""
-    doc = {
-        "header": header,
-        "reports": [
-            {"name": r.name, "status": r.status, "measured": r.measured,
-             "tolerance": r.tolerance, "runtime_ms": r.runtime_ms,
-             "detail": r.detail}
-            for r in reports
-        ],
-    }
+    criterion, whose keys are the fields of ``Report``."""
+    doc = {"header": header, "reports": [asdict(r) for r in reports]}
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 

@@ -11,10 +11,10 @@ Comparisons absorb float rounding at relative 1e-12.
 Validation happens once, at the edge.  The public ``PolySymbol(d, terms)``
 checks every key; the algebra (``+``, ``-``, ``*``, ``reflect_xi``,
 ``poly_derive``) builds its results from keys it made itself out of valid
-ones, so it skips that check and only drops exact zeros.  The heat slices
-behind the Anti-Wick -> Weyl expansion enumerate only the derivative pairs
-inside the symbol's degree box; every pair outside it differentiates the
-symbol to zero.
+ones, so it skips that check and only drops exact zeros.  The heat slices,
+the tau-change, the composition and the gamma-norm estimate enumerate only
+the derivative pairs inside the symbol's degree box (``_degree_box``); every
+pair outside it differentiates the symbol to zero.
 """
 
 from __future__ import annotations
@@ -106,8 +106,11 @@ class PolySymbol:
     gives the canonical (graded, then lexicographic) order for output.
     Instances are treated as immutable values.
 
-    ``PolySymbol(d, terms)`` validates: d is an integer >= 1 and every key
-    holds two d-tuples of non-negative integers (``_as_midx``).  Results of
+    ``PolySymbol(d, terms)`` validates: d is an integer >= 1, every key
+    holds two d-tuples of non-negative integers (``_as_midx``) and every
+    coefficient is a number (not a bool).  Keys that name the same monomial,
+    such as ``1`` and ``(1,)`` in dimension 1, have their coefficients
+    summed.  Results of
     the algebra are built from keys the algebra made out of valid ones and
     go through ``_trusted``, which only drops exact zeros.
     """
@@ -121,12 +124,12 @@ class PolySymbol:
         self.d = d
         clean: Dict[Tuple[MultiIndex, MultiIndex], complex] = {}
         for (xe, ke), c in (terms or {}).items():
-            xe = _as_midx(xe, d)
-            ke = _as_midx(ke, d)
+            key = (_as_midx(xe, d), _as_midx(ke, d))
+            if isinstance(c, bool) or not isinstance(c, numbers.Number):
+                raise UwqError(f"coefficient {c!r} of {key} must be a number")
             c = complex(c)
-            if c != 0:
-                clean[(xe, ke)] = c
-        self.terms = clean
+            clean[key] = clean[key] + c if key in clean else c
+        self.terms = {k: c for k, c in clean.items() if c != 0}
 
     @classmethod
     def _trusted(cls, d: int, terms: Dict) -> "PolySymbol":
@@ -298,12 +301,8 @@ def poly_allclose(p: PolySymbol, q: PolySymbol, rtol: float = 1e-12, atol: float
     return all(abs(p.terms.get(k, 0.0) - q.terms.get(k, 0.0)) <= bound for k in keys)
 
 
-def poly_derive(p: PolySymbol, alpha=None, beta=None, convention: str = "partial") -> PolySymbol:
-    """partial_xi^alpha partial_x^beta p, exact on monomials.
-
-    ``convention="D"`` multiplies by i^{-(|alpha|+|beta|)}, matching
-    D = -i partial.
-    """
+def poly_derive(p: PolySymbol, alpha=None, beta=None) -> PolySymbol:
+    """partial_xi^alpha partial_x^beta p, exact on monomials."""
     d = p.d
     alpha = _as_midx(alpha if alpha is not None else (0,) * d, d)
     beta = _as_midx(beta if beta is not None else (0,) * d, d)
@@ -321,12 +320,7 @@ def poly_derive(p: PolySymbol, alpha=None, beta=None, convention: str = "partial
                 coeff *= e - j
         key = (tuple(map(sub, xe, beta)), tuple(map(sub, ke, alpha)))
         out[key] = out.get(key, 0.0) + coeff
-    res = PolySymbol._trusted(d, out)
-    if convention == "D":
-        res = res * (-1j) ** (sum(alpha) + sum(beta))
-    elif convention != "partial":
-        raise UwqError("convention must be 'partial' or 'D'")
-    return res
+    return PolySymbol._trusted(d, out)
 
 
 def gaussian_moment(k: int) -> float:
@@ -369,20 +363,23 @@ def _even_pairs(j: int, kcap: MultiIndex, xcap: MultiIndex
         yield tuple(2 * a for a in half[:d]), tuple(2 * b for b in half[d:])
 
 
-def _heat_slice(p: PolySymbol, l: int) -> PolySymbol:
-    """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p.
+def _degree_box(p: PolySymbol) -> Tuple[MultiIndex, MultiIndex]:
+    """(kcap, xcap): the largest xi_i- and x_i-exponent of p, per axis.
+    d_xi^alpha d_x^beta p is exactly zero unless alpha <= kcap and
+    beta <= xcap, so enumerating only the pairs inside this box keeps every
+    sum and its order.  The zero symbol has the empty box of caps -1."""
+    if p.is_zero():
+        return (-1,) * p.d, (-1,) * p.d
+    xes, kes = zip(*p.terms)
+    return tuple(map(max, zip(*kes))), tuple(map(max, zip(*xes)))
 
-    Only pairs inside the degree box of p (alpha_i <= max xi_i-exponent,
-    beta_i <= max x_i-exponent) are enumerated.  Outside it the derivative
-    is exactly zero and adds no term, so the sum and its order equal those
-    of the full enumeration."""
+
+def _heat_slice(p: PolySymbol, l: int) -> PolySymbol:
+    """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p
+    over the pairs inside the degree box of p."""
     d = p.d
     out = PolySymbol.zero(d)
-    if p.is_zero():
-        return out
-    xes, kes = zip(*p.terms)
-    kcap, xcap = tuple(map(max, zip(*kes))), tuple(map(max, zip(*xes)))
-    for alpha, beta in _even_pairs(l, kcap, xcap):
+    for alpha, beta in _even_pairs(l, *_degree_box(p)):
         c = moment_coeff(alpha, beta, d)
         dp = poly_derive(p, alpha, beta)
         if not dp.is_zero():
@@ -493,12 +490,12 @@ def tau_change_terms(a: PolySymbol, tau1: float, tau: float) -> PolySymbol:
     a finite sum.  Sign convention (D = -i d/dx) is pinned by the kernel
     round-trip oracle in the quant tests."""
     t = _finite_tau(tau1) - _finite_tau(tau)
-    d = a.d
-    out = PolySymbol.zero(d)
+    out = PolySymbol.zero(a.d)
+    caps = tuple(map(min, *_degree_box(a)))
     max_order = min(a.x_degree(), a.xi_degree())
     for m in range(0, max(0, max_order) + 1):
-        for beta in compositions(m, d):
-            dp = poly_derive(a, beta, beta, convention="partial")
+        for beta in _capped_compositions(m, caps):
+            dp = poly_derive(a, beta, beta)
             if dp.is_zero():
                 continue
             coeff = (t**m if m else 1.0) * (-1j) ** m / multi_factorial(beta)
@@ -520,15 +517,15 @@ def compose_terms(a: PolySymbol, b: PolySymbol) -> PolySymbol:
     sum."""
     if a.d != b.d:
         raise UwqError("dimension mismatch")
-    d = a.d
-    out = PolySymbol.zero(d)
+    out = PolySymbol.zero(a.d)
+    caps = tuple(map(min, _degree_box(a)[0], _degree_box(b)[1]))
     max_order = min(a.xi_degree(), b.x_degree())
     for m in range(0, max(0, max_order) + 1):
-        for alpha in compositions(m, d):
+        for alpha in _capped_compositions(m, caps):
             da = poly_derive(a, alpha, None)
             if da.is_zero():
                 continue
-            db = poly_derive(b, None, alpha, convention="D")
+            db = poly_derive(b, None, alpha) * (-1j) ** m   # D_x = -i d_x
             if db.is_zero():
                 continue
             out = out + (da * db) * (1.0 / multi_factorial(alpha))
@@ -585,11 +582,12 @@ def gamma_norm_estimate(a: PolySymbol, params: ClassParams, box: float,
         return out
 
     damp = np.exp(-m_of(knorm) - m_of(xnorm))
+    kcap, xcap = _degree_box(a)
     best = 0.0
     for tot_a in range(0, a.xi_degree() + 1):
-        for alpha in compositions(tot_a, d):
+        for alpha in _capped_compositions(tot_a, kcap):
             for tot_b in range(0, a.x_degree() + 1):
-                for beta in compositions(tot_b, d):
+                for beta in _capped_compositions(tot_b, xcap):
                     dp = poly_derive(a, alpha, beta)
                     if dp.is_zero():
                         continue

@@ -42,11 +42,12 @@ __all__ = [
 
 _EXP_LIMIT = 700.0  # ln(double max) with margin
 MAX_XI_STEP = 0.05  # largest xi step of the oscillatory pairing's lattice
+GL_ORDER = 200  # Gauss-Legendre nodes per axis of a CompactDensity
 
 
-def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
+def _gl_nodes(lo: np.ndarray, hi: np.ndarray):
     """Tensor-product Gauss-Legendre nodes/weights on the box [lo, hi]^d."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = np.polynomial.legendre.leggauss(GL_ORDER)
     nodes_1d = []
     weights_1d = []
     for a, b in zip(lo, hi):
@@ -101,18 +102,18 @@ class CompactDensity:
         return self.lo.size
 
     @classmethod
-    def from_callable(cls, f: Callable, lo, hi, order: int = 200) -> "CompactDensity":
+    def from_callable(cls, f: Callable, lo, hi) -> "CompactDensity":
         lo, hi = _box(lo, hi)
-        nodes, weights = _gl_nodes(lo, hi, order)
+        nodes, weights = _gl_nodes(lo, hi)
         vals = np.asarray(f(nodes), dtype=complex)
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, values=vals)
 
     @classmethod
-    def indicator(cls, lo, hi, order: int = 200) -> "CompactDensity":
-        return cls.from_callable(lambda y: np.ones(y.shape[0]), lo, hi, order)
+    def indicator(cls, lo, hi) -> "CompactDensity":
+        return cls.from_callable(lambda y: np.ones(y.shape[0]), lo, hi)
 
     @classmethod
-    def gaussian_bump(cls, lo, hi, order: int = 200) -> "CompactDensity":
+    def gaussian_bump(cls, lo, hi) -> "CompactDensity":
         """exp(1 - 1/(1 - t^2)) in centred box coordinates; all derivatives
         vanish at the boundary."""
         lo_a, hi_a = _box(lo, hi)
@@ -125,12 +126,12 @@ class CompactDensity:
             out[ok] = np.exp(1.0 - 1.0 / (1.0 - t2[ok]))
             return out
 
-        return cls.from_callable(f, lo, hi, order)
+        return cls.from_callable(f, lo, hi)
 
     @classmethod
-    def poly_times_bump(cls, coeffs: Sequence[float], lo, hi, order: int = 200) -> "CompactDensity":
+    def poly_times_bump(cls, coeffs: Sequence[float], lo, hi) -> "CompactDensity":
         """(sum_k c_k y^k) times the bump, dimension 1."""
-        bump = cls.gaussian_bump(lo, hi, order)
+        bump = cls.gaussian_bump(lo, hi)
         if bump.d != 1:
             raise UwqError("poly_times_bump is one-dimensional")
         poly = np.polynomial.polynomial.polyval(bump.nodes[:, 0], np.asarray(coeffs))

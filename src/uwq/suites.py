@@ -15,6 +15,12 @@ Suite map (each criterion is reachable through exactly one suite):
 The ordering-change and composition checks apply their operators
 matrix-free (``quant.apply_symbol``); transpose and the quant245 and
 expansion checks compare dense matrices.
+
+A criterion only measures: ``run_suite`` times each call and sets its
+``runtime_ms``.  The fields of ``Report`` are the ``verify --json`` record,
+and the run header is ``CONSTANTS_VERSION`` followed by the fields of
+``SuiteParams``, so a field added to ``Report`` reaches the JSON record and
+one added to ``SuiteParams`` the JSON and text headers with no other edit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -85,7 +91,8 @@ MIN_N = 32
 
 @dataclass(frozen=True)
 class Report:
-    """One criterion outcome; passes iff measured <= tolerance."""
+    """One criterion outcome; passes iff measured <= tolerance.  Its fields
+    are the ``verify --json`` record; ``run_suite`` sets ``runtime_ms``."""
 
     name: str
     status: str
@@ -95,11 +102,10 @@ class Report:
     detail: str = ""
 
     @classmethod
-    def from_measurement(cls, name, measured, tolerance, t0, detail=""):
+    def from_measurement(cls, name, measured, tolerance, detail=""):
         status = "pass" if measured <= tolerance else "fail"
         return cls(name=name, status=status, measured=float(measured),
-                   tolerance=float(tolerance),
-                   runtime_ms=1000.0 * (time.perf_counter() - t0), detail=detail)
+                   tolerance=float(tolerance), runtime_ms=0.0, detail=detail)
 
 
 @dataclass(frozen=True)
@@ -112,14 +118,7 @@ class SuiteParams:
 
 
 def report_header(params: SuiteParams) -> dict:
-    return {
-        "constants_version": constants.CONSTANTS_VERSION,
-        "n": params.n,
-        "L": params.L,
-        "quant_L": params.quant_L,
-        "d": params.d,
-        "seed": params.seed,
-    }
+    return {"constants_version": constants.CONSTANTS_VERSION, **asdict(params)}
 
 
 def _half_band(n: int, cap: int) -> int:
@@ -128,21 +127,28 @@ def _half_band(n: int, cap: int) -> int:
     return min(cap, 3 * n // 8)
 
 
-def _band_limited(axis: AxisGrid, rng) -> FunctionGrid:
-    n = axis.n
-    spec = np.zeros(n, dtype=complex)
-    half_width = _half_band(n, 20)
-    lo, hi = n // 2 - half_width, n // 2 + half_width
-    spec[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
-    vals = _shifted_ifft(spec, (0,)) * n
-    return FunctionGrid(axis, vals / np.max(np.abs(vals)))
+def _band_limited(n: int, ndim: int, cap: int, rng) -> np.ndarray:
+    """Random spectrum on the central ``2 * _half_band(n, cap)`` bins of each
+    of ``ndim`` axes, transformed back and scaled to sup 1: complex on a 1-d
+    grid, real part only on a phase grid (ndim 2, a real symbol)."""
+    half_width = _half_band(n, cap)
+    band = (slice(n // 2 - half_width, n // 2 + half_width),) * ndim
+    draw = (2 * half_width,) * ndim
+    spec = np.zeros((n,) * ndim, dtype=complex)
+    spec[band] = rng.standard_normal(draw) + 1j * rng.standard_normal(draw)
+    vals = _shifted_ifft(spec, tuple(range(ndim)))
+    if ndim == 2:
+        vals = vals.real
+    for _ in range(ndim):   # n per axis in turn: the corpus is pinned to its last bit
+        vals = vals * n
+    return vals / np.max(np.abs(vals))
 
 
 def _stft_corpus(axis: AxisGrid, rng) -> List[FunctionGrid]:
     pts = axis.points()
     corpus = [gaussian_window(axis), gaussian_window(axis, y=1.5, eta=2.0)]
     corpus += [FunctionGrid(axis, hermite_function(k, pts).astype(complex)) for k in range(5)]
-    corpus += [_band_limited(axis, rng) for _ in range(3)]
+    corpus += [FunctionGrid(axis, _band_limited(axis.n, 1, 20, rng)) for _ in range(3)]
     return corpus
 
 
@@ -155,23 +161,11 @@ def _decaying_corpus(axis: AxisGrid) -> List[FunctionGrid]:
     return out
 
 
-def _band_limited_symbol(axis: AxisGrid, rng) -> PhaseFunctionGrid:
-    n = axis.n
-    spec = np.zeros((n, n), dtype=complex)
-    half_width = _half_band(n, 12)
-    lo, hi = n // 2 - half_width, n // 2 + half_width
-    spec[lo:hi, lo:hi] = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
-    vals = _shifted_ifft(spec, (0, 1)).real * n * n
-    vals = vals / np.max(np.abs(vals))
-    return PhaseFunctionGrid(axis, vals.astype(complex))
-
-
 # ---------------------------------------------------------------------------
 # stft suite
 # ---------------------------------------------------------------------------
 
 def criterion_stft_inversion(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(params.seed)
     axis = AxisGrid(params.n, params.L, 1)
     worst = 0.0
@@ -184,19 +178,18 @@ def criterion_stft_inversion(params: SuiteParams) -> Report:
     g2 = gaussian_window(ax2, y=(0.5, -0.25), eta=(1.0, 0.5))
     rec2 = stft_adjoint(stft(g2))
     worst = max(worst, float(np.max(np.abs(rec2.values / (2.0 * math.pi) ** 2 - g2.values))))
-    return Report.from_measurement("stft_inversion", worst, 1e-10, t0,
+    return Report.from_measurement("stft_inversion", worst, 1e-10,
                                    "relative inversion defect over the corpus")
 
 
 def criterion_stft_isometry(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(params.seed)
     axis = AxisGrid(params.n, params.L, 1)
     worst = 0.0
     for u in _stft_corpus(axis, rng):
         res = stft_norm_check(u)
         worst = max(worst, abs(res["lhs"] - res["rhs"]) / res["rhs"])
-    return Report.from_measurement("stft_isometry", worst, 1e-10, t0,
+    return Report.from_measurement("stft_isometry", worst, 1e-10,
                                    "relative norm defect over the corpus")
 
 
@@ -209,7 +202,6 @@ def _quant_axis(params: SuiteParams) -> AxisGrid:
 
 
 def criterion_smoothing_identity(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = _quant_axis(params)
     x, xi = PolySymbol.x(), PolySymbol.xi()
     symbols = [PolySymbol.one(), x, xi * xi, x * x + xi * xi, x * x * x * x, x * xi]
@@ -217,13 +209,13 @@ def criterion_smoothing_identity(params: SuiteParams) -> Report:
     for sym in symbols:
         worst = max(worst, verify_smoothing_identity(sym, axis)["max_err"])
     rng = np.random.default_rng(params.seed + 1)
-    worst = max(worst, verify_smoothing_identity(_band_limited_symbol(axis, rng))["max_err"])
-    return Report.from_measurement("antiwick_weyl_smoothing", worst, 1e-5, t0,
+    a = PhaseFunctionGrid(axis, _band_limited(axis.n, 2, 12, rng))
+    worst = max(worst, verify_smoothing_identity(a)["max_err"])
+    return Report.from_measurement("antiwick_weyl_smoothing", worst, 1e-5,
                                    "max entrywise discrepancy on the half-box block")
 
 
 def criterion_positivity(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = _quant_axis(params)
     x, xi = PolySymbol.x(), PolySymbol.xi()
     worst = 0.0
@@ -233,32 +225,30 @@ def criterion_positivity(params: SuiteParams) -> Report:
         A = anti_wick_matrix(grid).entries
         mineig = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
         worst = max(worst, -mineig / (1e-7 * (1.0 + amax)))
-    return Report.from_measurement("antiwick_positivity", worst, 1.0, t0,
+    return Report.from_measurement("antiwick_positivity", worst, 1.0,
                                    "most negative eigenvalue over its allowance")
 
 
 def criterion_norm_bound(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = _quant_axis(params)
     rng = np.random.default_rng(params.seed + 2)
     worst = 0.0
     for _ in range(5):
-        a = _band_limited_symbol(axis, rng)
+        a = PhaseFunctionGrid(axis, _band_limited(axis.n, 2, 12, rng))
         sup = float(np.max(np.abs(a.values)))
         nrm = float(np.linalg.norm(anti_wick_matrix(a).entries, 2))
         worst = max(worst, nrm / (sup * (1.0 + 1e-6)))
-    return Report.from_measurement("antiwick_norm_bound", worst, 1.0, t0,
+    return Report.from_measurement("antiwick_norm_bound", worst, 1.0,
                                    "operator norm over its sup-norm allowance")
 
 
 def criterion_oscillator(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = _quant_axis(params)
     x, xi = PolySymbol.x(), PolySymbol.xi()
     H = weyl(x * x + xi * xi, axis).entries
     evals = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
     worst = float(np.max(np.abs(evals[:8] - np.arange(1, 16, 2))))
-    return Report.from_measurement("oscillator_spectrum", worst, 1e-6, t0,
+    return Report.from_measurement("oscillator_spectrum", worst, 1e-6,
                                    "lowest eight eigenvalues vs odd integers")
 
 
@@ -289,7 +279,6 @@ def _poly_corpus_2d(rng, count: int = 6, max_degree: int = 5) -> List[PolySymbol
 
 
 def criterion_smoothing_expansion(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(params.seed + 3)
     bad = 0
     total = 0
@@ -298,12 +287,11 @@ def criterion_smoothing_expansion(params: SuiteParams) -> Report:
         total += 1
         if not poly_allclose(expansion_partial_sum(e, len(e)), heat_quarter(a, +1), rtol=1e-12):
             bad += 1
-    return Report.from_measurement("smoothing_expansion_exact", float(bad), 0.0, t0,
+    return Report.from_measurement("smoothing_expansion_exact", float(bad), 0.0,
                                    f"coefficientwise mismatches out of {total} polynomials")
 
 
 def criterion_inverse_expansion(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(params.seed + 4)
     bad = 0
     total = 0
@@ -325,10 +313,9 @@ def criterion_inverse_expansion(params: SuiteParams) -> Report:
         MW = weyl(b, axis)
         for u in corpus:
             va, vw = apply_operator(MA, u), apply_operator(MW, u)
-            worst = max(worst, float(np.max(np.abs(va.values - vw.values)))
-                        / max(1.0, float(np.max(np.abs(vw.values)))))
+            worst = max(worst, _action_defect(vw.values, va.values))
     measured = float(bad) + (0.0 if worst < 1e-5 else worst)
-    return Report.from_measurement("inverse_expansion", measured, 0.0, t0,
+    return Report.from_measurement("inverse_expansion", measured, 0.0,
                                    f"{bad} symbolic mismatches; worst matrix action {worst:.2e}")
 
 
@@ -336,13 +323,18 @@ def criterion_inverse_expansion(params: SuiteParams) -> Report:
 # tau suite
 # ---------------------------------------------------------------------------
 
+def _action_defect(ref: np.ndarray, other: np.ndarray) -> float:
+    """max|ref - other| / max(1, max|ref|): the defect of one operator
+    action against a reference action, relative once that exceeds 1."""
+    return float(np.max(np.abs(ref - other))) / max(1.0, float(np.max(np.abs(ref))))
+
+
 def _tau_polys() -> List[PolySymbol]:
     x, xi = PolySymbol.x(), PolySymbol.xi()
     return [x * xi, x * x + xi * xi, x * x * xi * xi, x * x * x * xi, xi * xi * xi * xi]
 
 
 def criterion_tau_change(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = AxisGrid(params.n, params.L, 1)
     corpus = _decaying_corpus(axis)
     worst = 0.0
@@ -351,14 +343,12 @@ def criterion_tau_change(params: SuiteParams) -> Report:
             b = tau_change_terms(a, t1, t)
             for u in corpus:
                 v1, v2 = apply_symbol(a, t1, u), apply_symbol(b, t, u)
-                worst = max(worst, float(np.max(np.abs(v1.values - v2.values)))
-                            / max(1.0, float(np.max(np.abs(v1.values)))))
-    return Report.from_measurement("tau_change", worst, 1e-8, t0,
+                worst = max(worst, _action_defect(v1.values, v2.values))
+    return Report.from_measurement("tau_change", worst, 1e-8,
                                    "worst relative action defect on band-limited inputs")
 
 
 def criterion_transpose(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = AxisGrid(params.n, params.L, 1)
     worst = 0.0
     for a in _tau_polys():
@@ -367,7 +357,7 @@ def criterion_transpose(params: SuiteParams) -> Report:
             M = operator_matrix(kernel_from_symbol(a, tau, axis))
             M2 = operator_matrix(kernel_from_symbol(refl, 1.0 - tau, axis))
             worst = max(worst, float(np.max(np.abs(M.entries.T - M2.entries))))
-    return Report.from_measurement("transpose", worst, 1e-9, t0,
+    return Report.from_measurement("transpose", worst, 1e-9,
                                    "plain matrix transpose identity, entrywise")
 
 
@@ -376,7 +366,6 @@ def criterion_transpose(params: SuiteParams) -> Report:
 # ---------------------------------------------------------------------------
 
 def criterion_composition(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axis = AxisGrid(params.n, params.L, 1)
     corpus = _decaying_corpus(axis)[:3]
     monos = [PolySymbol.monomial(1, (i,), (j,))
@@ -387,8 +376,8 @@ def criterion_composition(params: SuiteParams) -> Report:
         for u in corpus:
             v1 = apply_symbol(a, 0.0, apply_symbol(b, 0.0, u)).values
             v2 = apply_symbol(f, 0.0, u).values
-            worst = max(worst, float(np.max(np.abs(v1 - v2))) / max(1.0, float(np.max(np.abs(v1)))))
-    return Report.from_measurement("composition", worst, 1e-8, t0,
+            worst = max(worst, _action_defect(v1, v2))
+    return Report.from_measurement("composition", worst, 1e-8,
                                    "worst relative action defect, monomial pairs")
 
 
@@ -397,7 +386,6 @@ def criterion_composition(params: SuiteParams) -> Report:
 # ---------------------------------------------------------------------------
 
 def criterion_laplace_convolution(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     densities = [
         CompactDensity.indicator(-1.0, 1.0),
         CompactDensity.gaussian_bump(-1.0, 1.0),
@@ -410,12 +398,11 @@ def criterion_laplace_convolution(params: SuiteParams) -> Report:
                 via = conv_gauss_via_laplace(S, s, xv)
                 direct = conv_gauss_direct(S, s, xv)
                 worst = max(worst, abs(via - direct) / (1.0 + abs(direct)))
-    return Report.from_measurement("laplace_convolution", worst, 1e-8, t0,
+    return Report.from_measurement("laplace_convolution", worst, 1e-8,
                                    "via-Laplace vs direct quadrature, relative")
 
 
 def criterion_oscillatory(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     axc = AxisGrid(256, 2.5, 2)
     sigma, x0, y0 = 0.22, 0.35, -0.15
     chi = FunctionGrid.from_callable(
@@ -437,7 +424,7 @@ def criterion_oscillatory(params: SuiteParams) -> Report:
             worst = max(worst, 1.0)
         worst = max(worst, rep.diffs[-1] / 1e-5)
         worst = max(worst, abs(rep.extrapolated - rep2.extrapolated) / 1e-5)
-    return Report.from_measurement("oscillatory_kernel", worst, 1.0, t0,
+    return Report.from_measurement("oscillatory_kernel", worst, 1.0,
                                    "max of final Cauchy diff and cutoff dependence, "
                                    "scaled to their 1e-5 allowances")
 
@@ -447,7 +434,6 @@ def criterion_oscillatory(params: SuiteParams) -> Report:
 # ---------------------------------------------------------------------------
 
 def criterion_weights(params: SuiteParams) -> Report:
-    t0 = time.perf_counter()
     failures = []
     for s in (1.5, 2.0, 3.0):
         w = WeightSequence.gevrey(s)
@@ -462,7 +448,7 @@ def criterion_weights(params: SuiteParams) -> Report:
         # fit_bound_scale returns a k only once the bound check passed there
         if fit_bound_scale(P, grid) is None:
             failures.append(f"lower bound s={s}")
-    return Report.from_measurement("weights_conditions", float(len(failures)), 0.0, t0,
+    return Report.from_measurement("weights_conditions", float(len(failures)), 0.0,
                                    "; ".join(failures) if failures else
                                    "conditions, growth bound, and lower bound all hold")
 
@@ -496,5 +482,9 @@ def run_suite(name: str, params: Optional[SuiteParams] = None) -> List[Report]:
     else:
         raise UwqError(f"unknown suite {name!r}; choose from "
                        f"{['all', *SUITES]}")
-    reports = [fn(params) for fn in fns]
+    reports = []
+    for fn in fns:
+        start = time.perf_counter()
+        report = fn(params)
+        reports.append(replace(report, runtime_ms=1000.0 * (time.perf_counter() - start)))
     return sorted(reports, key=lambda r: r.name)

@@ -92,6 +92,24 @@ class TestPolySymbol:
             ((xe, ke),) = p.terms
             assert type(xe[0]) is int and type(ke[0]) is int
 
+    def test_keys_naming_one_monomial_sum(self):
+        p = PolySymbol(1, {(1, 0): 2.0, ((1,), (0,)): 3.0})
+        assert p.terms == {((1,), (0,)): 5.0}
+        assert PolySymbol(1, {(np.int64(1), (0,)): 2.0, ((1,), 0): -2.0}).is_zero()
+
+    @pytest.mark.parametrize("coeff", ["2", True, np.True_, None, [1.0], b"1"])
+    def test_coefficient_must_be_a_number(self, coeff):
+        with pytest.raises(UwqError, match="must be a number"):
+            PolySymbol(1, {((1,), (0,)): coeff})
+        with pytest.raises(UwqError, match="must be a number"):
+            PolySymbol.monomial(1, (1,), (0,), coeff)
+
+    def test_numpy_coefficients_accepted(self):
+        for c in (np.float64(2.0), np.float32(2.0), np.int64(2), np.complex128(2.0), 2, 2.0):
+            p = PolySymbol(1, {((1,), (0,)): c})
+            assert p.terms == {((1,), (0,)): 2.0}
+            assert all(type(v) is complex for v in p.terms.values())
+
     @pytest.mark.parametrize("d", [0, -1, 1.5, True, "1", None])
     def test_dimension_must_be_a_positive_integer(self, d):
         with pytest.raises(UwqError):
@@ -122,10 +140,6 @@ class TestDerive:
     def test_second_x_derivative_of_quartic(self):
         q = X * X * X * X
         assert poly_allclose(poly_derive(q, beta=(2,)), 12.0 * X * X)
-
-    def test_d_convention(self):
-        res = poly_derive(X, beta=(1,), convention="D")
-        assert poly_allclose(res, PolySymbol.one() * (-1j))
 
 
 class TestMoments:
@@ -374,15 +388,29 @@ class TestHeatSlicePruning:
             assert [(c.real.hex(), c.imag.hex()) for c in got.terms.values()] == \
                 [(c.real.hex(), c.imag.hex()) for c in want.terms.values()]
 
-    def test_derives_only_inside_the_degree_box(self, monkeypatch):
+    def test_derives_only_inside_the_degree_box(self, monkeypatch, params):
         import uwq.expansion as ex
 
         seen = []
         derive = ex.poly_derive
         monkeypatch.setattr(ex, "poly_derive",
-                            lambda p, a, b: seen.append((a, b)) or derive(p, a, b))
+                            lambda p, a, b: seen.append((p, a, b)) or derive(p, a, b))
         p = PolySymbol(2, {((2, 0), (0, 4)): 1.0, ((0, 0), (2, 0)): 1.0})
         ex._heat_slice(p, 2)
         # x-box (2, 0), xi-box (2, 4): half-caps (1, 2 | 1, 0) at total 2
-        assert seen == [((0, 2), (2, 0)), ((0, 4), (0, 0)), ((2, 0), (2, 0)),
-                        ((2, 2), (0, 0))]
+        assert [(a, b) for _, a, b in seen] == [
+            ((0, 2), (2, 0)), ((0, 4), (0, 0)), ((2, 0), (2, 0)), ((2, 2), (0, 0))]
+
+        q = PolySymbol(2, {((1, 0), (0, 1)): 1.0, ((0, 3), (1, 0)): 2.0, ((1, 1), (0, 0)): 0.5})
+        seen.clear()
+        tau_change_terms(p, 0.0, 1.0)
+        tau_change_terms(q, 0.0, 1.0)
+        compose_terms(p, q)
+        compose_terms(q, p)
+        gamma_norm_estimate(q, params, 3.0, points_per_axis=5)
+        assert len(seen) > 10
+        for r, alpha, beta in seen:
+            xes, kes = zip(*r.terms)
+            kcap, xcap = tuple(map(max, zip(*kes))), tuple(map(max, zip(*xes)))
+            assert all(a <= c for a, c in zip(alpha or (0, 0), kcap)), (r, alpha)
+            assert all(b <= c for b, c in zip(beta or (0, 0), xcap)), (r, beta)

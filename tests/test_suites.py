@@ -1,13 +1,21 @@
+import dataclasses
+import json
+import sys
+import time
+import types
+
 import pytest
 
+import uwq.suites as suites
 from uwq.cli import main
 from uwq.errors import UwqError
-from uwq.suites import SuiteParams, _half_band, run_suite
+from uwq.suites import Report, SuiteParams, _half_band, report_header, run_suite
 
 
 def failures(params: SuiteParams) -> list:
     reports = run_suite("all", params)
     assert len(reports) == 14
+    assert all(r.runtime_ms > 0 for r in reports)
     return [(r.name, r.measured, r.tolerance) for r in reports if r.status != "pass"]
 
 
@@ -60,3 +68,34 @@ def test_unknown_suite_names_the_suites():
         run_suite("nope")
     assert str(exc.value) == ("unknown suite 'nope'; choose from ['all', 'stft', 'quant245', "
                               "'expansion', 'tau', 'compose', 'gaussconv', 'weights']")
+
+
+def test_json_records_are_the_report_fields(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "gaussconv", "--json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    fields = {f.name for f in dataclasses.fields(Report)}
+    assert len(doc["reports"]) == 2
+    assert all(set(r) == fields for r in doc["reports"])
+    assert doc["header"] == report_header(SuiteParams())
+
+
+def test_header_key_order(capsys):
+    keys = ["constants_version", "n", "L", "quant_L", "d", "seed"]
+    assert list(report_header(SuiteParams())) == keys
+    assert main(["verify", "--suite", "compose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln[2:].split("=")[0] for ln in lines if ln.startswith("# ")] == keys
+
+
+def test_only_run_suite_reads_the_clock(monkeypatch):
+    callers = []
+
+    def clock():
+        callers.append(sys._getframe(1).f_code.co_name)
+        return time.perf_counter()
+
+    monkeypatch.setattr(suites, "time", types.SimpleNamespace(perf_counter=clock))
+    reports = run_suite("quant245")
+    assert callers == ["run_suite"] * (2 * len(reports))
+    assert all(r.runtime_ms > 0 for r in reports)
