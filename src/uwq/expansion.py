@@ -98,6 +98,17 @@ def _capped_compositions(total: int, caps: MultiIndex) -> Iterable[MultiIndex]:
             yield (head,) + rest
 
 
+def _scalar(other):
+    """A scalar operand of the algebra as a Python complex, or None for a
+    non-number (the operator then returns NotImplemented).  A bool, Python
+    or numpy, raises ``UwqError`` as it does in the constructor."""
+    if isinstance(other, (bool, np.bool_)):
+        raise UwqError(f"scalar {other!r} must be a number, not a bool")
+    if not isinstance(other, numbers.Number):
+        return None
+    return complex(other)
+
+
 class PolySymbol:
     """Polynomial in (x, xi) as a map (x-exponents, xi-exponents) -> coeff.
 
@@ -172,9 +183,10 @@ class PolySymbol:
 
     def __add__(self, other):
         if not isinstance(other, PolySymbol):
-            if not isinstance(other, numbers.Number):
+            other = _scalar(other)
+            if other is None:
                 return NotImplemented
-            other = PolySymbol(self.d, {(((0,) * self.d), ((0,) * self.d)): other})
+            other = PolySymbol._trusted(self.d, {(((0,) * self.d), ((0,) * self.d)): other})
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -187,23 +199,23 @@ class PolySymbol:
         return PolySymbol._trusted(self.d, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, PolySymbol):
-            return self + (-other)
-        if not isinstance(other, numbers.Number):
-            return NotImplemented
-        return self + -complex(other)
+        if not isinstance(other, PolySymbol):
+            other = _scalar(other)
+            if other is None:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        if not isinstance(other, numbers.Number):
+        other = _scalar(other)
+        if other is None:
             return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, PolySymbol):
-            if not isinstance(other, numbers.Number):
+            other = _scalar(other)
+            if other is None:
                 return NotImplemented
-            if isinstance(other, np.generic):
-                other = other.item()   # keep coefficients Python complex
             return PolySymbol._trusted(self.d, {k: c * other for k, c in self.terms.items()})
         self._check(other)
         out: Dict = {}

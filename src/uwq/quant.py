@@ -8,8 +8,10 @@ evaluated exactly at the off-grid midpoints (1-tau) x + tau y, so no
 interpolation error contaminates identity checks; sampled symbols are
 trigonometrically interpolated in the x slot, exact for band-limited data.
 Operator matrices are dense N x N arrays over the N = n^d grid points.
-Kernel assembly costs O(N^2) per polynomial term; the Anti-Wick matrix is
-assembled by FFT convolutions with the circulant window in O(N^2 log N).
+Kernel assembly works per difference class t - s: O(N^2) per distinct
+x-exponent of a polynomial symbol, and O(N^2 log n) time and O(2^d N^2)
+memory for a sampled one; the Anti-Wick matrix is assembled by FFT
+convolutions with the circulant window in O(N^2 log N).
 ``apply_symbol`` is the matrix-free path: it applies the same
 tau-quantization of a polynomial symbol to one function with FFTs, in
 O(N log N) per (xi-power, midpoint-power) pair and O(N) memory.
@@ -110,11 +112,16 @@ def _axis_indices(axis: AxisGrid) -> np.ndarray:
     return np.indices(axis.shape).reshape(axis.d, axis.size)
 
 
-def _diff_indices(axis: AxisGrid) -> list:
-    """Per axis: (N, N) index of (x_t - x_s) wrapped onto the base grid."""
+def _diff_indices(axis: AxisGrid) -> np.ndarray:
+    """(N, N) flat index into an (n,)*d table of the difference class
+    x_t - x_s, wrapped per axis onto the base grid."""
     J = _axis_indices(axis)
     n = axis.n
-    return [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(axis.d)]
+    R = np.zeros((axis.size, axis.size), dtype=np.intp)
+    for i in range(axis.d):
+        R *= n
+        R += (J[i][:, None] - J[i][None, :] + n // 2) % n
+    return R
 
 
 def _xi_power(axis: AxisGrid, k: int) -> np.ndarray:
@@ -147,23 +154,6 @@ def _dirichlet_1d(axis: AxisGrid, k: int) -> np.ndarray:
     return _shifted_ifft(_xi_power(axis, k), (0,)) / axis.dx
 
 
-def _upsample_axis(values: np.ndarray, q: int, ax: int) -> np.ndarray:
-    """Trigonometric interpolation onto a q-times finer lattice along one
-    axis (zero-padded spectrum, unpaired most-negative bin split evenly)."""
-    if q == 1:
-        return values
-    v = np.moveaxis(values, ax, 0)
-    n = v.shape[0]
-    S = _shifted_fft(v, (0,))
-    out = np.zeros((q * n,) + v.shape[1:], dtype=complex)
-    lo = q * n // 2 - n // 2
-    out[lo : lo + n] = S
-    out[lo] = 0.5 * S[0]
-    out[lo + n] = 0.5 * S[0]
-    res = q * _shifted_ifft(out, (0,))
-    return np.moveaxis(res, 0, ax)
-
-
 def _symbol_axis(a, axis: AxisGrid = None) -> AxisGrid:
     """The grid a symbol is quantized on: the explicit ``axis`` a PolySymbol
     needs, or a sampled symbol's own grid, which a different ``axis`` may
@@ -184,9 +174,12 @@ def _symbol_axis(a, axis: AxisGrid = None) -> AxisGrid:
 def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
     """K(x, y) = (2 pi)^{-d} dxi^d sum_xi e^{i (x-y) xi} a((1-tau) x + tau y, xi).
 
-    Polynomial symbols are evaluated exactly at the midpoints; sampled
-    symbols are upsampled in the x slot (tau must then be rational with a
-    small denominator so midpoints land on the refined lattice).
+    Polynomial symbols are evaluated exactly at the midpoints.  Sampled
+    symbols are trigonometrically interpolated there: each difference-class
+    column of the inverse xi transform is shifted spectrally by the
+    fraction of a grid step its midpoints lie off the grid (tau must then
+    be rational with denominator <= 64, so that fraction is a multiple of
+    1/q for tau = p/q).
     """
     tv = _finite_tau(tau)
     axis = _symbol_axis(a, axis)
@@ -196,48 +189,89 @@ def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
 
 
 def _kernel_from_poly(a: PolySymbol, tv: float, axis: AxisGrid) -> KernelMatrix:
-    d = axis.d
-    N = axis.size
-    pts = axis.points()
-    J = _axis_indices(axis)
-    rows = [pts[J[i]] for i in range(d)]
-    diffs = _diff_indices(axis)
-    gcache = {}
-    K = np.zeros((N, N), dtype=complex)
+    # one xi-table per x-exponent: sum of c * prod_i D_{alpha_i} over the
+    # difference classes, gathered once and weighted by the midpoint power
+    dirichlet = functools.cache(lambda al: _dirichlet_1d(axis, al))
+    tables = {}
     for (xe, ke), c in a.terms.items():
-        W = np.ones((N, N), dtype=complex)
+        T = c * functools.reduce(np.multiply.outer, map(dirichlet, ke))
+        tables[xe] = tables[xe] + T if xe in tables else T
+    pts = axis.points()
+    rows = pts[_axis_indices(axis)]
+    diffs = _diff_indices(axis)
+    mids = {}
+    K = np.zeros((axis.size, axis.size), dtype=complex)
+    for xe, T in tables.items():
+        G = T.ravel()[diffs]
         for i, b in enumerate(xe):
             if b:
-                mid = (1.0 - tv) * rows[i][:, None] + tv * rows[i][None, :]
-                W = W * mid**b
-        G = np.ones((N, N), dtype=complex)
-        for i, al in enumerate(ke):
-            if al not in gcache:
-                gcache[al] = _dirichlet_1d(axis, al)
-            G = G * gcache[al][diffs[i]]
-        K += c * W * G
+                if i not in mids:
+                    mids[i] = (1.0 - tv) * rows[i][:, None] + tv * rows[i][None, :]
+                G *= mids[i] if b == 1 else mids[i] ** b
+        K += G
     return KernelMatrix(axis, K)
 
 
 def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
+    """K[t, s] = B((1-tau) x_t + tau x_s, t - s) per axis, with B the
+    inverse xi transform of the symbol.
+
+    For tau = p/q the midpoint is the point w = q t - p (t - s) of the
+    q-times finer lattice, and its residue c = w mod q depends only on
+    t - s.  Difference class r (mod n) holds the differences r - n/2 (slot
+    0) and r - n/2 moved by n towards zero (slot 1), so a column of B is
+    read at one or two residues, each a spectral shift of the column by c/q
+    steps with length-n FFTs along x.  The whole steps w // q are left to
+    the final gather; q = 1 gathers B as it is.
+    """
     axis = a.xaxis
-    d, n, N = axis.d, axis.n, axis.size
+    d, n = axis.d, axis.n
     p, q = _tau_fraction(tv)
-    vals = a.values
+    B = _shifted_ifft(a.values, tuple(range(d, 2 * d)))
+    B /= axis.dx**d
+    # per difference t - s = 1-n .. n-1: its class, residue and slot; the
+    # slots of a class differ in residue by p n mod q
+    diff = np.arange(1 - n, n)
+    r = (diff + n // 2) % n
+    slots = 2 if (p * n) % q else 1
+    slot = ((diff < -n // 2) | (diff >= n // 2)).astype(np.intp) * (slots - 1)
+    cls = np.zeros((slots, n), dtype=np.intp)
+    cls[slot, r] = (-p * diff) % q
+    if q > 1:
+        # interpolating shift by c/q steps in DFT order; the unpaired
+        # most-negative bin, split evenly between -n/2 and n/2, takes cos(pi c/q)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        spectra = np.exp(2j * math.pi / (q * n) * np.outer(k, np.arange(q)))
+        spectra[n // 2] = np.cos(math.pi / q * np.arange(q))
+        # each axis prepends its slot axis, the last axis first, so B ends
+        # as B[e_0, .., e_{d-1}, x, r]
+        for i in reversed(range(d)):
+            np.fft.fft(B, axis=i - 2 * d, out=B)
+            out = np.empty((slots,) + B.shape, dtype=complex)
+            shape = [1] * B.ndim
+            shape[i - 2 * d] = shape[i - d] = n
+            for e in range(slots):
+                np.multiply(B, spectra[:, cls[e]].reshape(shape), out=out[e])
+                np.fft.ifft(out[e], axis=i - 2 * d, out=out[e])
+            B = out
+    else:
+        B = B[(np.newaxis,) * d]
+    step = np.array(B.strides) // B.itemsize
+    j = np.arange(n)
+    D = np.subtract.outer(j + (n - 1), j)  # index of t - s into the tables above
+    parts = []
     for i in range(d):
-        vals = _upsample_axis(vals, q, i)
-    # inverse transform over the xi axes: B[w, r]
-    xi_axes = tuple(range(d, 2 * d))
-    B = _shifted_ifft(vals, xi_axes) / axis.dx**d
-    J = _axis_indices(axis)
-    widx = []
-    ridx = []
-    for i in range(d):
-        jt, js = J[i][:, None], J[i][None, :]
-        widx.append(((q - p) * jt + p * js) % (q * n))
-        ridx.append((jt - js + n // 2) % n)
-    K = B[tuple(widx + ridx)]
-    return KernelMatrix(axis, K)
+        P = ((-p * diff) // q)[D]
+        P += j[:, None]
+        P &= n - 1  # the coarse row w // q, mod n (a power of two)
+        P *= step[d + i]
+        P += (r * step[2 * d + i] + slot * step[i])[D]
+        shape = [1] * (2 * d)
+        shape[i] = shape[d + i] = n
+        parts.append(P.reshape(shape))
+    del D
+    idx = functools.reduce(np.add, parts).reshape(axis.size, axis.size)
+    return KernelMatrix(axis, np.take(B, idx))
 
 
 _STENCIL = np.arange(-7, 9)  # 16-point centered Lagrange stencil

@@ -125,6 +125,15 @@ class TestPolySymbol:
                 assert prod == p * 2
                 assert all(type(c) is complex for c in prod.terms.values())
 
+    @pytest.mark.parametrize("op", [
+        lambda b: X + b, lambda b: b + X, lambda b: X - b,
+        lambda b: b - X, lambda b: X * b, lambda b: b * X,
+    ], ids=["x+bool", "bool+x", "x-bool", "bool-x", "x*bool", "bool*x"])
+    def test_bool_scalar_rejected(self, op):
+        for flag in (True, False, np.True_, np.False_):
+            with pytest.raises(UwqError, match="not a bool"):
+                op(flag)
+
     @pytest.mark.parametrize("other", ["a", [1], {1: 2}, None])
     def test_non_numbers_raise_type_error(self, other):
         for op in (lambda: X + other, lambda: other + X, lambda: X - other,

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from uwq.expansion import (
 from uwq.gaussconv import SeparableSymbol
 from uwq.grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, inner
 from uwq.quant import (
+    _dirichlet_1d,
     anti_wick_direct,
     anti_wick_matrix,
     apply_operator,
@@ -95,6 +98,78 @@ def window_pair_sum(a):
     return M * axis.dx ** (2 * d)
 
 
+def per_term_kernel(a, tau, axis):
+    """Reference polynomial kernel: per term, the midpoint power times the
+    gathered product of 1-d xi-tables, O(N^2) work for every term."""
+    d, n, N = axis.d, axis.n, axis.size
+    J = np.indices(axis.shape).reshape(d, N)
+    rows = axis.points()[J]
+    diffs = [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(d)]
+    K = np.zeros((N, N), dtype=complex)
+    for (xe, ke), c in a.terms.items():
+        W = np.ones((N, N), dtype=complex)
+        for i, b in enumerate(xe):
+            if b:
+                W = W * ((1.0 - tau) * rows[i][:, None] + tau * rows[i][None, :]) ** b
+        G = np.ones((N, N), dtype=complex)
+        for i, al in enumerate(ke):
+            G = G * _dirichlet_1d(axis, al)[diffs[i]]
+        K += c * W * G
+    return K
+
+
+def shifted(transform, values, axes):
+    return np.fft.fftshift(transform(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes)
+
+
+def upsample_axis(values, q, ax):
+    """Trigonometric interpolation onto a q-times finer lattice along one
+    axis (zero-padded spectrum, unpaired most-negative bin split evenly)."""
+    if q == 1:
+        return values
+    v = np.moveaxis(values, ax, 0)
+    n = v.shape[0]
+    S = shifted(np.fft.fftn, v, (0,))
+    out = np.zeros((q * n,) + v.shape[1:], dtype=complex)
+    lo = q * n // 2 - n // 2
+    out[lo : lo + n] = S
+    out[lo] = 0.5 * S[0]
+    out[lo + n] = 0.5 * S[0]
+    return np.moveaxis(q * shifted(np.fft.ifftn, out, (0,)), 0, ax)
+
+
+def upsampled_kernel(a, tau):
+    """Reference sampled kernel: each difference-class column of the
+    inverse xi transform upsampled onto the q-times finer x lattice (tau =
+    p/q), then read at the midpoints (q - p) t + p s.  Columns go one at a
+    time so the q^d-fold lattice never exists for all of them at once."""
+    axis = a.xaxis
+    d, n, N = axis.d, axis.n, axis.size
+    frac = Fraction(tau).limit_denominator(64)
+    p, q = frac.numerator, frac.denominator
+    B = shifted(np.fft.ifftn, a.values, tuple(range(d, 2 * d))) / axis.dx**d
+    J = np.indices(axis.shape).reshape(d, N)
+    widx = [((q - p) * J[i][:, None] + p * J[i][None, :]) % (q * n) for i in range(d)]
+    ridx = [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(d)]
+    K = np.empty((N, N), dtype=complex)
+    for r in itertools.product(range(n), repeat=d):
+        fine = B[(Ellipsis,) + r]
+        for i in range(d):
+            fine = upsample_axis(fine, q, i)
+        mask = np.logical_and.reduce([ri == ci for ri, ci in zip(ridx, r)])
+        K[mask] = fine[tuple(wi[mask] for wi in widx)]
+    return K
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_symbol(axis, seed):
     """Complex, non-Hermitian, neither smooth nor decaying."""
     rng = np.random.default_rng(seed)
@@ -137,6 +212,50 @@ class TestKernel:
         lhs = kernel_from_symbol(a + 2.0 * b, 0.5, axis).entries
         rhs = kernel_from_symbol(a, 0.5, axis).entries + 2.0 * kernel_from_symbol(b, 0.5, axis).entries
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestKernelAssembly:
+    """The per-x-exponent polynomial builder and the spectrally shifted
+    sampled builder against the per-term and q-fold upsampling references."""
+
+    @staticmethod
+    def poly_cases():
+        X2, XI2 = PolySymbol.x(0, 2), PolySymbol.xi(0, 2)
+        Y2, ETA2 = PolySymbol.x(1, 2), PolySymbol.xi(1, 2)
+        # shared x-exponents, a pure-xi term, a pure-x term and a constant
+        one_d = (X * X * XI + (2.0 - 1.0j) * X * X * XI * XI * XI + 0.5 * X * XI
+                 - 3.0 * X * XI * XI + XI * XI * XI * XI + 0.25 * X * X * X + 1.5)
+        two_d = (X2 * X2 * ETA2 + (1.0 + 2.0j) * X2 * X2 * XI2 * ETA2 + Y2 * XI2 * XI2
+                 - 2.0 * Y2 * XI2 + ETA2 * ETA2 * ETA2 + X2 * Y2 + 0.75)
+        return [(one_d, AxisGrid(64, 6.0, 1)), (two_d, AxisGrid(8, 3.0, 2))]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.3])
+    def test_poly_matches_per_term(self, case, tau):
+        a, ax = self.poly_cases()[case]
+        K = kernel_from_symbol(a, tau, ax).entries
+        ref = per_term_kernel(a, tau, ax)
+        assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (4, 1), (64, 1), (4, 2), (8, 2)])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.25, 1 / 3, 2 / 7, 1 / 64, -0.5, 1.5])
+    def test_grid_matches_upsampled(self, n, d, tau):
+        a = random_symbol(AxisGrid(n, 3.0, d), 31)
+        K = kernel_from_symbol(a, tau).entries
+        ref = upsampled_kernel(a, tau)
+        if tau in (0.0, 1.0):
+            assert np.array_equal(K, ref)
+        else:
+            assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, d, tau", [(128, 1, 1 / 64), (8, 2, 1 / 8)])
+    def test_grid_peak_memory(self, n, d, tau):
+        # a q-fold fine lattice would take about q^d times the N x N output;
+        # the first call fills numpy's FFT plan cache, so it goes untraced
+        a = random_symbol(AxisGrid(n, 3.0, d), 32)
+        output = 16 * a.xaxis.size**2
+        kernel_from_symbol(a, tau)
+        assert traced_peak_bytes(lambda: kernel_from_symbol(a, tau)) <= 5 * output
 
 
 class TestWeyl:
