@@ -11,10 +11,10 @@ Comparisons absorb float rounding at relative 1e-12.
 Validation happens once, at the edge.  The public ``PolySymbol(d, terms)``
 checks every key; the algebra (``+``, ``-``, ``*``, ``reflect_xi``,
 ``poly_derive``) builds its results from keys it made itself out of valid
-ones, so it skips that check and only drops exact zeros.  The heat slices,
-the tau-change, the composition and the gamma-norm estimate enumerate only
-the derivative pairs inside the symbol's degree box (``_degree_box``); every
-pair outside it differentiates the symbol to zero.
+ones, so it skips that check and only drops exact zeros.  The heat flow,
+the heat slices, the tau-change, the composition and the gamma-norm estimate
+take only the derivatives inside the symbol's degree box (``_degree_box``);
+every one outside it differentiates the symbol to zero.
 """
 
 from __future__ import annotations
@@ -422,7 +422,6 @@ def heat_quarter(a: PolySymbol, sign: int = +1) -> PolySymbol:
     if sign not in (+1, -1):
         raise UwqError("sign must be +1 or -1")
     d = a.d
-    ex = [0] * d
     total = PolySymbol.zero(d)
     term = a
     k = 0
@@ -430,11 +429,13 @@ def heat_quarter(a: PolySymbol, sign: int = +1) -> PolySymbol:
         total = total + term
         k += 1
         lap = PolySymbol.zero(d)
+        kcap, xcap = _degree_box(term)
         for i in range(d):
-            ax = [0] * d
-            ax[i] = 2
-            lap = lap + poly_derive(term, None, tuple(ax))   # d_x_i^2
-            lap = lap + poly_derive(term, tuple(ax), None)   # d_xi_i^2
+            ax = tuple(2 * (j == i) for j in range(d))
+            if xcap[i] >= 2:
+                lap = lap + poly_derive(term, None, ax)   # d_x_i^2
+            if kcap[i] >= 2:
+                lap = lap + poly_derive(term, ax, None)   # d_xi_i^2
         term = lap * (sign / (4.0 * k))
     return total
 

@@ -12,6 +12,9 @@ Kernel assembly works per difference class t - s: O(N^2) per distinct
 x-exponent of a polynomial symbol, and O(N^2 log n) time and O(2^d N^2)
 memory for a sampled one; the Anti-Wick matrix is assembled by FFT
 convolutions with the circulant window in O(N^2 log N).
+``symbol_from_kernel`` inverts the kernel map by an O(N^2) gather, a
+stencil of at most 16 N^2 multiply-adds per axis and the O(N^2 log n)
+class-axis FFT.
 ``apply_symbol`` is the matrix-free path: it applies the same
 tau-quantization of a polynomial symbol to one function with FFTs, in
 O(N log N) per (xi-power, midpoint-power) pair and O(N) memory.
@@ -33,7 +36,6 @@ from .grid import (
     AxisGrid,
     FunctionGrid,
     PhaseFunctionGrid,
-    _shifted_fft,
     _shifted_ifft,
 )
 from .stft import stft, stft_adjoint, window_translates
@@ -275,55 +277,37 @@ def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
 
 
 _STENCIL = np.arange(-7, 9)  # 16-point centered Lagrange stencil
+_STENCIL_BLOCK = 1 << 14  # entries per stencil pass, so a block stays in cache
 
 
-def _lagrange_weights(frac: float) -> np.ndarray:
-    """Barycentric Lagrange weights for evaluating at ``frac`` in [0, 1)
-    from equispaced nodes -7..8; exact on polynomials of degree <= 15."""
+def _lagrange_weights(fracs: np.ndarray) -> np.ndarray:
+    """(16, F) barycentric Lagrange weights for evaluating at each of the F
+    ``fracs`` in [0, 1) from equispaced nodes -7..8; exact on polynomials
+    of degree <= 15.  Row i is the product over j != i, in node order, of
+    (frac - x_j) / (x_i - x_j)."""
     nodes = _STENCIL.astype(float)
-    w = np.ones(nodes.size)
-    for i, xi in enumerate(nodes):
-        for xj in nodes:
-            if xj != xi:
-                w[i] *= (frac - xj) / (xi - xj)
+    w = np.ones((nodes.size, fracs.size))
+    for j, xj in enumerate(nodes):
+        f = (fracs - xj) / np.where(nodes == xj, 1.0, nodes - xj)[:, None]
+        f[j] = 1.0
+        w *= f
     return w
-
-
-def _fractional_shift(values: np.ndarray, delta_steps: float, ax: int, n: int) -> np.ndarray:
-    """Evaluate a periodic sampled function at points shifted forward by
-    delta_steps grid steps along one axis.
-
-    Integer part is an exact circular roll; the fractional residue uses a
-    local 16-point Lagrange stencil, so data defects stay local instead of
-    spreading through a global transform.
-    """
-    if delta_steps == 0.0:
-        return values
-    int_part = math.floor(delta_steps)
-    frac = delta_steps - int_part
-    v = np.moveaxis(values, ax, 0)
-    g = np.roll(v, -int_part, axis=0)
-    if frac == 0.0:
-        return np.moveaxis(g, 0, ax)
-    w = _lagrange_weights(frac)
-    out = np.zeros_like(g)
-    for m, wm in zip(_STENCIL, w):
-        out += wm * np.roll(g, -int(m), axis=0)
-    return np.moveaxis(out, 0, ax)
 
 
 def symbol_from_kernel(K: KernelMatrix, tau: float) -> PhaseFunctionGrid:
     """a(x, xi) = F_{t -> xi} K(x + tau t, x - (1-tau) t), the inverse of
     ``kernel_from_symbol``.
 
-    Entries with a common difference t - s sample the midpoint slot of the
-    kernel on a lattice offset by tau (t - s); each difference class is
-    brought back to the base lattice by a local interpolating shift, then
-    the difference direction is transformed.  Entries whose column index
-    wraps around the box sample the wrong periodic image of the midpoint
-    slot; the local stencil keeps that defect confined near the box edge, so
-    accuracy away from the boundary requires only that the symbol be smooth
-    on the grid scale (exact for polynomial midpoint dependence up to degree
+    Entries with a common difference r = t - s sample the midpoint slot on
+    a lattice offset by tau r grid steps.  One flat gather reads each
+    difference class slid back by its whole steps; a 16-point Lagrange
+    stencil (nodes -7..8: 16 multiply-adds of row slices, weights computed
+    once per distinct fraction) shifts the classes left a fraction of a
+    step off the grid; then the class axes are transformed.  Entries whose
+    column index wraps around the box sample the wrong periodic image of
+    the midpoint slot; the local stencil keeps that defect near the box
+    edge, so accuracy away from the boundary needs only a symbol smooth on
+    the grid scale (exact for polynomial midpoint dependence up to degree
     15).
     """
     if not isinstance(K, KernelMatrix):
@@ -331,30 +315,44 @@ def symbol_from_kernel(K: KernelMatrix, tau: float) -> PhaseFunctionGrid:
     axis = K.axis
     d, n, N = axis.d, axis.n, axis.size
     p, q = _tau_fraction(_finite_tau(tau))
-    Kv = K.entries.reshape(axis.shape * 2)
-    # B[r, w] = kernel entries with difference index r (per axis), slid so
-    # that axis ``d+i`` carries the difference class and axis ``i`` slides.
-    J = np.indices(axis.shape * 2)  # (2d, n, ..., n): first d slide, last d diffs
-    idx_rows = []
-    idx_cols = []
-    for i in range(d):
-        jt = J[i]
-        dj = J[d + i] - n // 2
-        idx_rows.append(jt % n)
-        idx_cols.append((jt - dj) % n)
-    B = Kv[tuple(idx_rows + idx_cols)]  # shape (n,)*d (slide w) + (n,)*d (diff r)
-    # slide index jt sampled B(x_jt - tau * dj * dx, r); shift back per axis
-    for i in range(d):
-        for k in range(n):
-            dj = k - n // 2
-            delta = p * dj / q  # in units of dx
-            sl = [slice(None)] * (2 * d)
-            sl[d + i] = k
-            sub = B[tuple(sl)]
-            B[tuple(sl)] = _fractional_shift(sub, delta, i, n)
-    # transform the difference axes: a(x, xi) = dr^d sum_r e^{-i r xi} B(x, r)
-    r_axes = tuple(range(d, 2 * d))
-    spec = axis.dx**d * _shifted_fft(B, r_axes)
+    # per class in DFT order: its difference r and the offset p r / q of its
+    # midpoints, in whole steps and a fraction
+    r = (np.arange(n) + n // 2) % n - n // 2
+    delta = p * r / q
+    whole = np.floor(delta)
+    frac = delta - whole
+    # per axis B[j, c] = K[j + whole_c, j + whole_c - r_c], both mod n (a
+    # power of two); the axes combine into one flat index
+    row = (np.arange(n)[:, None] + whole.astype(np.intp)) & (n - 1)
+    row = row * N + ((row - r) & (n - 1))
+    parts = [row.reshape((1,) * i + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - 1 - i))
+             for i in range(d)]
+    B = np.take(K.entries, functools.reduce(lambda idx, P: idx * n + P, parts))
+    del row, parts
+    cols = np.flatnonzero(frac)
+    if cols.size:
+        fracs, which = np.unique(frac[cols], return_inverse=True)
+        W = _lagrange_weights(fracs)[:, which]
+        ext = (np.arange(n + _STENCIL.size - 1) + _STENCIL[0]) % n
+        for i in range(d):
+            # the fractional classes, slide axis i first, extended
+            # periodically by 7 rows before and 8 after
+            E = np.take(np.moveaxis(np.take(B, cols, axis=d + i), i, 0), ext, axis=0)
+            w = W.reshape((_STENCIL.size, -1) + (1,) * (d - 1 - i))
+            out = np.zeros((n,) + E.shape[1:], dtype=complex)
+            b = min(n, max(1, _STENCIL_BLOCK * n // out.size))
+            for j in range(0, n, b):
+                for t in range(_STENCIL.size):
+                    out[j : j + b] += w[t] * E[j + t : j + t + min(b, n - j)]
+            del E
+            B[(slice(None),) * (d + i) + (cols,)] = np.moveaxis(out, 0, i)
+            del out
+    # a(x, xi) = dr^d sum_r e^{-i r xi} B(x, r), the last class axis first
+    # as in np.fft.fftn
+    for i in reversed(range(d, 2 * d)):
+        np.fft.fft(B, axis=i, out=B)
+    spec = np.fft.fftshift(B, axes=tuple(range(d, 2 * d)))
+    spec *= axis.dx**d
     return PhaseFunctionGrid(axis, spec)
 
 

@@ -18,6 +18,7 @@ from uwq.expansion import (
 from uwq.gaussconv import SeparableSymbol
 from uwq.grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, inner
 from uwq.quant import (
+    KernelMatrix,
     _dirichlet_1d,
     anti_wick_direct,
     anti_wick_matrix,
@@ -161,6 +162,61 @@ def upsampled_kernel(a, tau):
     return K
 
 
+STENCIL = np.arange(-7, 9)
+
+
+def lagrange_weights(frac):
+    """Barycentric Lagrange weights for evaluating at ``frac`` in [0, 1)
+    from the equispaced nodes -7..8, one pure-Python product per node."""
+    nodes = STENCIL.astype(float)
+    w = np.ones(nodes.size)
+    for i, xi in enumerate(nodes):
+        for xj in nodes:
+            if xj != xi:
+                w[i] *= (frac - xj) / (xi - xj)
+    return w
+
+
+def fractional_shift(values, delta_steps, ax):
+    """Evaluate a periodic sampled function at points shifted forward by
+    delta_steps grid steps along one axis: a circular roll by the whole
+    steps, then the 16-point Lagrange stencil for the fraction."""
+    if delta_steps == 0.0:
+        return values
+    int_part = math.floor(delta_steps)
+    frac = delta_steps - int_part
+    v = np.moveaxis(values, ax, 0)
+    g = np.roll(v, -int_part, axis=0)
+    if frac == 0.0:
+        return np.moveaxis(g, 0, ax)
+    w = lagrange_weights(frac)
+    out = np.zeros_like(g)
+    for m, wm in zip(STENCIL, w):
+        out += wm * np.roll(g, -int(m), axis=0)
+    return np.moveaxis(out, 0, ax)
+
+
+def per_class_symbol(K, tau):
+    """Reference symbol_from_kernel: a 2-d fancy gather of every difference
+    class, then per axis and per class a roll and a stencil of 16 more
+    rolls, then the shifted FFT of the class axes."""
+    axis = K.axis
+    d, n = axis.d, axis.n
+    frac = Fraction(tau).limit_denominator(64)
+    p, q = frac.numerator, frac.denominator
+    Kv = K.entries.reshape(axis.shape * 2)
+    J = np.indices(axis.shape * 2)
+    rows = [J[i] % n for i in range(d)]
+    cols = [(J[i] - (J[d + i] - n // 2)) % n for i in range(d)]
+    B = Kv[tuple(rows + cols)]
+    for i in range(d):
+        for k in range(n):
+            sl = [slice(None)] * (2 * d)
+            sl[d + i] = k
+            B[tuple(sl)] = fractional_shift(B[tuple(sl)], p * (k - n // 2) / q, i)
+    return axis.dx**d * shifted(np.fft.fftn, B, tuple(range(d, 2 * d)))
+
+
 def traced_peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -288,6 +344,25 @@ class TestWeyl:
 
 
 class TestSymbolFromKernel:
+    @pytest.mark.parametrize("n, d", [(2, 1), (4, 1), (64, 1), (512, 1), (4, 2), (8, 2), (16, 2)])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.25, 1 / 3, 0.3, 1 / 64, -0.5, 1.5])
+    def test_matches_per_class(self, n, d, tau):
+        # gathers copy exactly, and the same 16 products are summed in the
+        # same order before the same per-axis FFTs: bitwise the reference
+        ax = AxisGrid(n, 3.0, d)
+        K = KernelMatrix(ax, random_symbol(ax, 33).values.reshape(ax.size, ax.size))
+        assert np.array_equal(symbol_from_kernel(K, tau).values, per_class_symbol(K, tau))
+
+    @pytest.mark.parametrize("n, d", [(512, 1), (16, 2)])
+    def test_peak_memory(self, n, d):
+        # the per-class reference peaks at 5x (d=1) and 8x (d=2) the N x N
+        # output; the first call fills numpy's FFT plan cache untraced
+        ax = AxisGrid(n, 3.0, d)
+        K = KernelMatrix(ax, random_symbol(ax, 34).values.reshape(ax.size, ax.size))
+        symbol_from_kernel(K, 0.5)
+        output = 16 * ax.size**2
+        assert traced_peak_bytes(lambda: symbol_from_kernel(K, 0.5)) <= 4 * output
+
     def test_constant_round_trip(self, axis):
         K = kernel_from_symbol(ONE, 0.5, axis)
         rec = symbol_from_kernel(K, 0.5)
@@ -304,7 +379,7 @@ class TestSymbolFromKernel:
         err = np.abs(rec.values - exact)[inner_idx, 1:]
         assert np.max(err) < 1e-9
 
-    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0, -0.5, 1 / 3, 1.5])
     def test_localized_symbol_round_trip(self, axis, tau):
         a = localized_symbol(axis, 31, xw=1.8, kw=4.5)
         K = kernel_from_symbol(a, tau)
