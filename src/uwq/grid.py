@@ -18,16 +18,36 @@ Each following line is one row ``index...,re,im``: a function or phase grid
 has one index column ``i`` into its values flattened in C order (x-major
 for phase grids), an operator has two, ``r,c``.  Values are printed with
 ``%.17g``, so a file reads back to the same doubles bit for bit (a NaN
-reads back as NaN).  The reader
+reads back as NaN).  The writer refuses, before it opens the file, a
+``kind`` other than these three and an array whose shape is not the one
+the kind gives the axis (N for a function, N^2 for a phase grid, (N, N)
+for an operator).  The reader
 rejects with ``UwqError`` a missing or malformed header, an unexpected
 ``kind``, malformed rows, a wrong column count, and an index set that is
 fractional, out of range, or does not cover every cell exactly once; rows
 may come in any order.
+
+The writer makes the bytes of Python's ``'%.17g' % x`` with numpy
+(``uwq.gridtext``), a block of rows at a time.  For finite nonzero
+|x| = m 2^e (``np.frexp``) and k = floor(log10 |x|), y = |x| 10^(16-k) is
+formed as a double-double yh + yl: Dekker's exact TwoProduct (Numer.
+Math. 18, 1971) of m and a two-double table entry for 10^(16-k) 2^-t,
+built from exact integers, then ``np.ldexp``.  The error is below 2^-46,
+far less than a unit in the 17th digit.  k moves by one until
+10^16 - 0.025 <= y < 10^17; in that slack below 10^16, and when
+round(y) = 10^17 carries into k + 1, both exponents print the same text.
+The 17 digits are round-half-even(y), correct (Steele & White, PLDI 1990)
+unless y lies within 1e-6 of a rounding tie.  Such values, NaN and the
+infinities take Python's ``%.17g``; in random data that is about one
+value in 500,000, plus every exact tie.  The text is cut from a per-value
+template by a mask looked up by layout (fixed notation for -4 <= k < 17,
+else d.ddde+XX with 2 or 3 exponent digits), sign and last nonzero digit,
+which drops trailing zeros and a bare point; the digits and index columns
+come from a table of 4-digit strings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -224,28 +244,39 @@ def phase_l2_norm(F: PhaseFunctionGrid) -> float:
 
 
 _HEADER_KEYS = ("n", "L", "d", "kind")
-_BLOCK_ROWS = 1024
+# the array a grid file of each kind holds, by the header's axis
+_CELLS = {
+    None: lambda axis: (axis.size,),
+    "phase": lambda axis: (axis.size**2,),
+    "operator": lambda axis: (axis.size, axis.size),
+}
+# rows formatted at once: the block's temporaries stay near 1 MB whatever
+# the file's size, and larger blocks are not faster
+_BLOCK_ROWS = 2048
 
 
 def save_grid(axis: AxisGrid, values: np.ndarray, path, kind=None) -> None:
     """The one grid-file writer (format in the module docstring): the header
     of ``axis`` and ``kind``, then one row per entry of ``values`` in C
-    order, with one index column per array axis."""
-    shape = values.shape
-    flat = values.reshape(-1)
-    row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
+    order.  ``values`` must have the shape ``kind`` gives the axis, so the
+    readers accept every file written."""
+    if kind not in _CELLS:
+        raise UwqError(f"unknown grid kind {kind!r}; expected none, 'phase' or 'operator'")
+    cells = _CELLS[kind](axis)
+    values = np.asarray(values)
+    if values.shape != cells:
+        raise UwqError(f"a grid file of kind={kind or '(none)'} on this axis holds an "
+                       f"array of shape {cells}, got {values.shape}")
+    # imported here, on the first write: the module compiles and builds its
+    # tables once per process, which nothing else that imports grid pays
+    from . import gridtext
+
     tail = f" kind={kind}" if kind else ""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={axis.n} L={axis.L:.17g} d={axis.d}{tail}\n")
-        # fixed blocks bound the memory: one string for a whole n=512
-        # operator added ~75 MB of peak RSS, 4096-row blocks ~0.8 MB and
-        # 1024-row blocks ~0.15 MB, at the same speed; per-block index
-        # arithmetic never builds an N^2-long index array
+    flat = values.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write(f"# n={axis.n} L={axis.L:.17g} d={axis.d}{tail}\n".encode())
         for start in range(0, flat.size, _BLOCK_ROWS):
-            block = flat[start:start + _BLOCK_ROWS]
-            index = np.unravel_index(np.arange(start, start + block.size), shape)
-            cols = [i.tolist() for i in index] + [block.real.tolist(), block.imag.tolist()]
-            fh.write((row * block.size) % tuple(itertools.chain.from_iterable(zip(*cols))))
+            fh.write(gridtext.rows_text(flat[start:start + _BLOCK_ROWS], start, cells))
 
 
 def _parse_header(line: str, kind) -> AxisGrid:
@@ -269,10 +300,10 @@ def _parse_header(line: str, kind) -> AxisGrid:
     return AxisGrid(n, L, d)
 
 
-def _load_grid(path, kind, shape):
+def _load_grid(path, kind):
     """The one grid-file reader.  Checks the header against ``kind`` and the
-    rows against ``shape(axis)``, the array they must fill exactly once;
-    returns the axis and that array."""
+    rows against the array of shape ``_CELLS[kind](axis)``, which they must
+    fill exactly once; returns the axis and that array."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline()
@@ -286,7 +317,7 @@ def _load_grid(path, kind, shape):
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise UwqError(f"malformed grid row: {exc}") from None
-    cells = shape(axis)
+    cells = _CELLS[kind](axis)
     size = math.prod(cells)
     if data.shape[0] != size:
         raise UwqError(f"grid file has {data.shape[0]} rows, its header needs {size}")
@@ -315,7 +346,7 @@ def save_function(u: FunctionGrid, path) -> None:
 
 def load_function(path) -> FunctionGrid:
     """Read a grid file written by ``save_function``."""
-    axis, values = _load_grid(path, None, lambda ax: (ax.size,))
+    axis, values = _load_grid(path, None)
     return FunctionGrid(axis, values.reshape(axis.shape))
 
 
@@ -326,5 +357,5 @@ def save_phase(a: PhaseFunctionGrid, path) -> None:
 
 def load_phase(path) -> PhaseFunctionGrid:
     """Read a grid file written by ``save_phase``."""
-    axis, values = _load_grid(path, "phase", lambda ax: (ax.size**2,))
+    axis, values = _load_grid(path, "phase")
     return PhaseFunctionGrid(axis, values.reshape(axis.shape * 2))

@@ -52,7 +52,7 @@ def run(argv):
 
 
 def read_operator(path, size):
-    axis, entries = _load_grid(path, "operator", lambda ax: (ax.size, ax.size))
+    axis, entries = _load_grid(path, "operator")
     assert axis.size == size
     return entries
 

@@ -1,4 +1,9 @@
+import itertools
 import math
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from uwq.grid import (
     save_function,
     save_grid,
     save_phase,
+    _BLOCK_ROWS,
+    _CELLS,
     _load_grid,
 )
 
@@ -246,7 +253,7 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "# n=4 L=2 d=1 kind=operator"
         assert lines[1 + 4 * 2 + 3] == f"2,3,{M[2, 3].real:.17g},{M[2, 3].imag:.17g}"
-        back_axis, back = _load_grid(path, "operator", lambda a: (a.size, a.size))
+        back_axis, back = _load_grid(path, "operator")
         assert back_axis == ax and np.array_equal(back, M)
 
     def test_blocks_join_seamlessly(self, tmp_path):
@@ -262,6 +269,157 @@ class TestSerialization:
         assert all(line == f"{i},{flat[i].real:.17g},{flat[i].imag:.17g}"
                    for i, line in enumerate(lines[1:]))
         assert np.array_equal(load_phase(path).values, a.values)
+
+
+def reference_save_grid(axis, values, path, kind=None):
+    """The grid writer as it was before the vectorized one: Python's
+    %-formatting of 1024-row blocks.  It pins the bytes save_grid writes."""
+    shape = values.shape
+    flat = values.reshape(-1)
+    row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
+    tail = f" kind={kind}" if kind else ""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={axis.n} L={axis.L:.17g} d={axis.d}{tail}\n")
+        for start in range(0, flat.size, 1024):
+            block = flat[start:start + 1024]
+            index = np.unravel_index(np.arange(start, start + block.size), shape)
+            cols = [i.tolist() for i in index] + [block.real.tolist(), block.imag.tolist()]
+            fh.write((row * block.size) % tuple(itertools.chain.from_iterable(zip(*cols))))
+
+
+def assert_reference_bytes(tmp_path, axis, values, kind=None):
+    """save_grid writes the reference writer's bytes; returns the path."""
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_grid(axis, values, path, kind)
+    reference_save_grid(axis, values, ref, kind)
+    assert path.read_bytes() == ref.read_bytes()
+    return path
+
+
+def hexes(values):
+    """The doubles of a complex array, bit for bit (every NaN as 'nan')."""
+    return [(z.real.hex(), z.imag.hex()) for z in values.reshape(-1)]
+
+
+def padded(values):
+    """``values`` as a complex array padded with zeros to a power-of-two
+    length, with the AxisGrid of a function of that length."""
+    n = 2
+    while n < len(values):
+        n *= 2
+    out = np.zeros(n, dtype=complex)
+    out[:len(values)] = values
+    return AxisGrid(n, 1.0, 1), out
+
+
+def edge_doubles():
+    """Doubles at the edges of %.17g: zeros, subnormals, the extremes,
+    every power of ten and of two with the neighbours of each power of ten,
+    the switch to and from exponent notation, integers past 2^53, and
+    values whose 18th significant digit is an exact tie."""
+    xs = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4,
+          1e16, 1e17, 99999999999999999.0, 1e20, 1e23]
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        xs += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    xs += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    xs += [float(2**53 + i) for i in (0, 1, 2, 3, 5, 10**6)] + [float(2**63), float(10**22 + 2**23)]
+    return xs + TIES
+
+
+def tie_distance(x: float) -> Fraction:
+    """|frac(y) - 1/2| for y = |x| 10^(16 - k), x's 17 digits scaled to an
+    integer; 0 is an exact tie."""
+    k = int(f"{abs(x):.16e}".split("e")[1])
+    y = Fraction(abs(x)) * Fraction(10) ** (16 - k)
+    return abs(y - math.floor(y) - Fraction(1, 2))
+
+
+# 18 significant digits, the last a 5: %.17g rounds an exact tie, e.g.
+# 2^-25 = 2.98023223876953125e-08; these take the Python path
+TIES = [1e15 + 0.25, 1e15 + 0.75, 3 * 2.0**-24, 2.0**-25, 3 * 2.0**-25]
+# 3.9e-7 of a unit in the 17th digit from a tie, so it takes the Python path
+NEAR_TIE = 1.5304951539331137
+
+
+class TestWriterBytes:
+    def test_edge_values(self, tmp_path):
+        xs = edge_doubles() + [math.inf, NEAR_TIE]
+        xs += [-x for x in xs] + [math.nan]
+        axis, values = padded([complex(x, y) for x, y in zip(xs, xs[1:] + xs[:1])])
+        path = assert_reference_bytes(tmp_path, axis, values)
+        assert hexes(load_function(path).values) == hexes(values)
+
+    def test_ties_are_ties(self):
+        assert 0 < tie_distance(NEAR_TIE) < Fraction(1, 10**6)
+        assert all(tie_distance(x) == 0 for x in TIES)
+
+    @pytest.mark.parametrize("kind", [None, "phase", "operator"])
+    def test_fallback_rows_at_block_edges(self, tmp_path, kind):
+        # values off the vectorized path in the first row, the last row and
+        # on both sides of a block boundary, as real and imaginary parts
+        axis = AxisGrid(4096 if kind is None else 64, 3.0, 1)
+        shape = _CELLS[kind](axis)
+        rng = np.random.default_rng(9)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert base.size > _BLOCK_ROWS
+        read = {None: lambda p: load_function(p).values,
+                "phase": lambda p: load_phase(p).values,
+                "operator": lambda p: _load_grid(p, "operator")[1]}[kind]
+        for x in (math.nan, math.inf, -math.inf, -0.0, NEAR_TIE, 2.0**-25):
+            values = base.copy()
+            flat = values.reshape(-1)
+            for row in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, flat.size - 1):
+                flat[row] = complex(x, -x)
+            path = assert_reference_bytes(tmp_path, axis, values, kind)
+            assert hexes(read(path)) == hexes(values)
+
+    def test_random_files(self, tmp_path):
+        # spread over many decades, as operator and STFT files are
+        rng = np.random.default_rng(12)
+        axis = AxisGrid(64, 8.0, 1)
+        scale = 10.0 ** rng.uniform(-40, 40, (64, 64))
+        values = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) * scale
+        assert_reference_bytes(tmp_path, axis, values, "operator")
+        assert_reference_bytes(tmp_path, AxisGrid(16, 2.0, 2), values.reshape(-1)[:256])
+        assert_reference_bytes(tmp_path, AxisGrid(8, 2.0, 2), values.reshape(-1), "phase")
+
+    def test_peak_memory(self, tmp_path):
+        # the writer's working set is one block, whatever the file's size
+        rng = np.random.default_rng(13)
+        save_grid(AxisGrid(2, 1.0, 1), np.zeros(2, dtype=complex), tmp_path / "warm.csv")
+        for n in (256, 512):
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            tracemalloc.start()
+            try:
+                save_grid(AxisGrid(n, 8.0, 1), M, tmp_path / "op.csv", "operator")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (n, peak)
+
+    def test_text_module_loaded_on_first_write(self, tmp_path):
+        # importing uwq.grid neither compiles the formatter nor builds its tables
+        code = ("import sys, uwq.grid as g; assert 'uwq.gridtext' not in sys.modules; "
+                "g.save_grid(g.AxisGrid(2, 1.0), g.np.zeros(2), sys.argv[1]); "
+                "assert 'uwq.gridtext' in sys.modules")
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "u.csv")], check=True)
+
+
+class TestWriterRefuses:
+    @pytest.mark.parametrize("values, kind", [
+        (np.zeros(5), None),            # 5 rows, the header needs 4
+        (np.zeros(4), "phsae"),         # no reader accepts the kind
+        (np.zeros((4, 4)), None),       # r,c rows under a function header
+        (np.zeros((4, 4)), "phase"),
+        (np.zeros(16), "operator"),
+        (np.zeros(4), ""),
+    ])
+    def test_refused_before_open(self, tmp_path, values, kind):
+        path = tmp_path / "g.csv"
+        with pytest.raises(UwqError):
+            save_grid(AxisGrid(4, 2.0), values, path, kind)
+        assert not path.exists()
 
 
 def assert_rejected(tmp_path, capsys, text, load, command):

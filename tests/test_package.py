@@ -8,8 +8,8 @@ import pytest
 
 import uwq
 
-MODULES = ["cli", "constants", "errors", "expansion", "gaussconv", "grid", "quant",
-           "stft", "suites", "weights"]
+MODULES = ["cli", "constants", "errors", "expansion", "gaussconv", "grid", "gridtext",
+           "quant", "stft", "suites", "weights"]
 
 
 @pytest.mark.parametrize("name", MODULES)
