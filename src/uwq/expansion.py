@@ -13,8 +13,9 @@ checks every key; the algebra (``+``, ``-``, ``*``, ``reflect_xi``,
 ``poly_derive``) builds its results from keys it made itself out of valid
 ones, so it skips that check and only drops exact zeros.  The heat flow,
 the heat slices, the tau-change, the composition and the gamma-norm estimate
-take only the derivatives inside the symbol's degree box (``_degree_box``);
-every one outside it differentiates the symbol to zero.
+enumerate only the derivatives inside the symbol's degree box
+(``_degree_box``) and take only those that some single term survives
+(``_survives``); every other one differentiates the symbol to zero.
 """
 
 from __future__ import annotations
@@ -386,15 +387,23 @@ def _degree_box(p: PolySymbol) -> Tuple[MultiIndex, MultiIndex]:
     return tuple(map(max, zip(*kes))), tuple(map(max, zip(*xes)))
 
 
+def _survives(p: PolySymbol, alpha: MultiIndex, beta: MultiIndex) -> bool:
+    """Whether d_xi^alpha d_x^beta p is non-zero: some single term has
+    xi-exponent >= alpha and x-exponent >= beta componentwise.  Distinct
+    terms differentiate to distinct monomials, so none cancel."""
+    ge = operator.ge
+    return any(all(map(ge, ke, alpha)) and all(map(ge, xe, beta)) for xe, ke in p.terms)
+
+
 def _heat_slice(p: PolySymbol, l: int) -> PolySymbol:
     """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p
-    over the pairs inside the degree box of p."""
+    over the pairs that some term of p survives."""
     d = p.d
     out = PolySymbol.zero(d)
     for alpha, beta in _even_pairs(l, *_degree_box(p)):
-        c = moment_coeff(alpha, beta, d)
-        dp = poly_derive(p, alpha, beta)
-        if not dp.is_zero():
+        if _survives(p, alpha, beta):
+            c = moment_coeff(alpha, beta, d)
+            dp = poly_derive(p, alpha, beta)
             out = out + dp * (c / (multi_factorial(alpha) * multi_factorial(beta)))
     return out
 
@@ -508,9 +517,9 @@ def tau_change_terms(a: PolySymbol, tau1: float, tau: float) -> PolySymbol:
     max_order = min(a.x_degree(), a.xi_degree())
     for m in range(0, max(0, max_order) + 1):
         for beta in _capped_compositions(m, caps):
-            dp = poly_derive(a, beta, beta)
-            if dp.is_zero():
+            if not _survives(a, beta, beta):
                 continue
+            dp = poly_derive(a, beta, beta)
             coeff = (t**m if m else 1.0) * (-1j) ** m / multi_factorial(beta)
             out = out + dp * coeff
     return out
@@ -532,15 +541,14 @@ def compose_terms(a: PolySymbol, b: PolySymbol) -> PolySymbol:
         raise UwqError("dimension mismatch")
     out = PolySymbol.zero(a.d)
     caps = tuple(map(min, _degree_box(a)[0], _degree_box(b)[1]))
+    zero = (0,) * a.d
     max_order = min(a.xi_degree(), b.x_degree())
     for m in range(0, max(0, max_order) + 1):
         for alpha in _capped_compositions(m, caps):
+            if not (_survives(a, alpha, zero) and _survives(b, zero, alpha)):
+                continue
             da = poly_derive(a, alpha, None)
-            if da.is_zero():
-                continue
             db = poly_derive(b, None, alpha) * (-1j) ** m   # D_x = -i d_x
-            if db.is_zero():
-                continue
             out = out + (da * db) * (1.0 / multi_factorial(alpha))
     return out
 
@@ -601,9 +609,9 @@ def gamma_norm_estimate(a: PolySymbol, params: ClassParams, box: float,
         for alpha in _capped_compositions(tot_a, kcap):
             for tot_b in range(0, a.x_degree() + 1):
                 for beta in _capped_compositions(tot_b, xcap):
-                    dp = poly_derive(a, alpha, beta)
-                    if dp.is_zero():
+                    if not _survives(a, alpha, beta):
                         continue
+                    dp = poly_derive(a, alpha, beta)
                     vals = np.abs(dp.evaluate(xs, ks))
                     order = tot_a + tot_b
                     weight = (

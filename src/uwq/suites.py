@@ -440,7 +440,9 @@ def criterion_weights(params: SuiteParams) -> Report:
         rep = check_conditions(w)
         if not (rep.m1_ok and rep.m2_ok and rep.m3_ok):
             failures.append(f"conditions s={s}")
-        if not check_assoc_bound(w, 1.0, 20):
+        # the growth bound needs the (c0, H) that (M.1) and (M.2) fit
+        if not (rep.m1_ok and rep.m2_ok
+                and check_assoc_bound(w, 1.0, 20, constants=(rep.c0, rep.m2_H))):
             failures.append(f"growth bound s={s}")
         wide = WeightSequence.gevrey(s, truncation=192)
         P = Ultrapolynomial(weight=wide, scale=1.0, q=1, truncation=20000)

@@ -99,3 +99,38 @@ def test_only_run_suite_reads_the_clock(monkeypatch):
     reports = run_suite("quant245")
     assert callers == ["run_suite"] * (2 * len(reports))
     assert all(r.runtime_ms > 0 for r in reports)
+
+
+@pytest.mark.parametrize("failing", ["m1_ok", "m2_ok"])
+def test_weights_reports_a_failed_fit(monkeypatch, failing):
+    # with (M.1) or (M.2) failing there is no (c0, H) to check the growth
+    # bound with: the criterion records both failures instead of raising
+    real = suites.check_conditions
+
+    def check(w):
+        rep = real(w)
+        if failing == "m2_ok":
+            return dataclasses.replace(rep, m2_ok=False, m2_H=None, m2_c0=None)
+        return dataclasses.replace(rep, m1_ok=False)
+
+    def no_second_fit(w, m, n_max, constants=None):
+        assert constants is not None
+        return real_bound(w, m, n_max, constants)
+
+    real_bound = suites.check_assoc_bound
+    monkeypatch.setattr(suites, "check_conditions", check)
+    monkeypatch.setattr(suites, "check_assoc_bound", no_second_fit)
+    rep = suites.criterion_weights(SuiteParams())
+    assert rep.status == "fail" and rep.measured == 6.0
+    assert rep.detail == "; ".join(f"{kind} s={s}" for s in (1.5, 2.0, 3.0)
+                                   for kind in ("conditions", "growth bound"))
+
+
+def test_weights_growth_bound_uses_the_fitted_constants(monkeypatch):
+    seen = []
+    real_bound = suites.check_assoc_bound
+    monkeypatch.setattr(suites, "check_assoc_bound",
+                        lambda w, m, n, constants=None: seen.append(constants)
+                        or real_bound(w, m, n, constants))
+    assert suites.criterion_weights(SuiteParams()).status == "pass"
+    assert len(seen) == 3 and all(c is not None for c in seen)

@@ -292,6 +292,14 @@ class TestUltrapolynomial:
         vals = [abs(ultrapoly_eval(P, x, strict=False)) for x in xs]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                   complex(np.inf, 0.0), complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_z_rejected(self, gevrey2, z, strict):
+        P = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=50)
+        with pytest.raises(UwqError, match="finite z"):
+            ultrapoly_eval(P, z, strict=strict)
+
     def test_explicit_weights_cannot_certify_tail(self):
         ones = WeightSequence.explicit(values=[1.0] * 65)
         P = Ultrapolynomial(weight=ones, scale=1.0, q=1, truncation=30)
@@ -323,11 +331,148 @@ def pointwise_bound(P, k, grid, floor=1e-8):
 
 
 def scalar_log_product(P, x):
-    """log of the truncated product at real x >= 0, one point at a time."""
+    """log of the truncated product at real x >= 0, one point at a time, as
+    one pairwise sum over every factor (the algorithm before the series
+    tail)."""
     if x == 0.0:
         return 0.0
     t = np.exp(2.0 * (math.log(x) - P.log_scales() - P.log_m()))
     return float(np.sum(np.log1p(t)))
+
+
+EPS = 2.0 ** -52
+
+
+def fsum_reference(P, x):
+    """sum_j log1p(x_j) with math.exp and math.log1p on the exp argument
+    the head uses, 2 (ln(x/l) - ln m_j), summed exactly by math.fsum."""
+    if x == 0.0:
+        return 0.0
+    d = math.log(x) - math.log(P.scale)
+    return math.fsum(math.log1p(math.exp(2.0 * (d - lm))) for lm in P.log_m().tolist())
+
+
+def head_size(P, x):
+    """The number of factors ``_log_factor_sums`` sums term by term at x."""
+    if x == 0.0:
+        return 0
+    dz = np.array([math.log(x) - math.log(P.scale)])
+    return int(wt._head_sizes(P.log_m(), dz)[0])
+
+
+def sub_error(a, b):
+    """(a - b) - fl(a - b), exactly (Knuth's TwoSum)."""
+    s = a - b
+    bv = s - a
+    return (a - (s - bv)) + (-b - bv)
+
+
+def _add_roundings(x, y):
+    """Bounds on the rounding error of x + y: half an ulp of the result, or
+    the smaller operand if that is less (the other one is a double that
+    close to the sum)."""
+    return np.minimum(0.5 * np.spacing(np.abs(x + y)), np.minimum(np.abs(x), np.abs(y)))
+
+
+def pairwise_roundings(a):
+    """(bounds on the rounding error of each addition, sum) of numpy's
+    pairwise sum of the 1-d array a.  Above 128 terms numpy halves the
+    range at a multiple of 8; each leaf of at most 128 terms runs eight
+    interleaved accumulators, adds them as a tree and then any last n % 8
+    terms.  Leaves of one size are simulated together."""
+    leaves, nodes = [], []
+
+    def split(lo, n):
+        if n <= 128:
+            leaves.append((lo, n))
+            return lo, n
+        half = n // 2 - n // 2 % 8
+        nodes.append((split(lo, half), split(lo + half, n - half)))
+        return lo, n
+
+    split(0, a.size)
+    sums, bounds = {}, []
+    for n in sorted({n for _, n in leaves}):
+        los = np.array([lo for lo, size in leaves if size == n])
+        rows = a[los[:, None] + np.arange(n)]
+        m = 0 if n < 8 else n - n % 8
+        if m:
+            blocks = rows[:, :m].reshape(los.size, -1, 8)
+            acc = np.cumsum(blocks, axis=1)
+            last = acc[:, -1]
+            pairs = last[:, 0::2] + last[:, 1::2]
+            bounds += [_add_roundings(acc[:, :-1], blocks[:, 1:]),
+                       _add_roundings(last[:, 0::2], last[:, 1::2]),
+                       _add_roundings(pairs[:, 0::2], pairs[:, 1::2])]
+            quads = pairs[:, 0::2] + pairs[:, 1::2]
+            bounds.append(_add_roundings(quads[:, 0], quads[:, 1]))
+            start = (quads[:, 0] + quads[:, 1])[:, None]
+        else:
+            start = np.zeros((los.size, 1))
+        run = np.cumsum(np.concatenate([start, rows[:, m:]], axis=1), axis=1)
+        bounds.append(_add_roundings(run[:, :-1], rows[:, m:])[:, 0 if m else 1:])
+        sums.update(zip(zip(los.tolist(), [n] * los.size), run[:, -1].tolist()))
+    for left, right in nodes:
+        sums[left[0], left[1] + right[1]] = sums[left] + sums[right]
+        bounds.append(_add_roundings(np.array([sums[left]]), np.array([sums[right]])))
+    return np.concatenate([b.ravel() for b in bounds]), sums[0, a.size]
+
+
+def error_bound(P, x, head):
+    """Bound on |log-sum - fsum_reference(P, x)| when the factors j < head
+    are summed term by term with np.sum and the rest come from the series
+    of ``weights._tail_series``; head = J is ``scalar_log_product``.
+
+    Fixed parts: an ulp of exp and one of log1p per term (numpy's and
+    math's agree to an ulp on both); in the tail, an ulp of np.exp in r and
+    in each ratio u_j = exp(2 (top - ln m_j)) except u_j = 1, and the exact
+    first-order effect of rounding the split exp argument 2 (d - top) +
+    2 (top - ln m_j) instead of the reference's 2 (d - ln m_j) (it vanishes
+    where ln m_j = top, whose argument is the reference's); the truncation
+    theta^K/(K+1) of the tail and, for the power sums S_k with k >= 2, K
+    roundings of theta/(2(1 - theta)) of it; half an ulp for fsum.
+    Statistical part: the additions and products of the pairwise head sum,
+    of 1 + the pairwise sum of the other u_j in S_1, of Horner's last two
+    steps and of head + tail each round by at most b (``_add_roundings``);
+    taken as independent and uniform on [-b, b] (Higham & Mary, SIAM J.
+    Sci. Comput. 41 (2019)), they add four standard deviations,
+    4 sqrt(sum b^2 / 3).  Their worst case, sum b, reaches 9.5 eps of the
+    20,000-term pairwise sum alone, which no algorithm here comes near.
+    """
+    if x == 0.0:
+        return 0.0
+    lm = P.log_m()
+    d = math.log(x) - math.log(P.scale)
+    t = np.exp(2.0 * (d - lm))
+    ell = np.log1p(t)
+    total = float(ell.sum())
+    fixed = float(np.sum(np.spacing(ell[:head]) + np.spacing(t[:head]) / (1.0 + t[:head])))
+    fixed += 0.5 * math.ulp(total)
+    roundings = [pairwise_roundings(ell[:head])[0]] if head else []
+    if head < lm.size:
+        theta, K = wt._THETA, wt._SERIES_TERMS
+        lt, xt = lm[head:], t[head:]
+        top_index = int(np.argmin(lt))
+        top = float(lt[top_index])
+        r = math.exp(2.0 * (d - top))
+        u = np.exp(2.0 * (top - lt))
+        tail = float(ell[head:].sum())
+        exps = np.where(lt == top, 0.0, np.spacing(xt) + EPS * xt) + math.ulp(r) * u
+        fixed += float(np.sum(np.spacing(ell[head:]) + exps / (1.0 + xt)))
+        shift = sub_error(d, lt) - sub_error(d, top) - sub_error(top, lt)
+        fixed += abs(float(np.sum(2.0 * shift * xt / (1.0 + xt))))
+        higher = theta / (2.0 * (1.0 - theta))
+        fixed += (theta ** K / (K + 1) + higher * K * EPS) * tail
+        rest = u.copy()
+        rest[top_index] = 0.0
+        sum_roundings, s_rest = pairwise_roundings(rest)
+        one_ulp_s1 = r * 0.5 * math.ulp(1.0 + s_rest)
+        roundings += [(1.0 + higher) * r * sum_roundings,
+                      [one_ulp_s1, one_ulp_s1, 0.5 * math.ulp(tail)]]
+        if head:
+            roundings.append([0.5 * math.ulp(total)])
+    b2 = sum(float(np.sum(np.square(b))) for b in roundings)
+    return fixed + 4.0 * math.sqrt(b2 / 3.0)
 
 
 class TestLowerBound:
@@ -346,18 +491,42 @@ class TestLowerBound:
                 assert (rep.C_tilde.hex(), rep.argmin, rep.ok) == pointwise_bound(P, k, grid)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
-    def test_eval_matches_scalar_product(self, s):
-        P = Ultrapolynomial(weight=WeightSequence.gevrey(s, truncation=192), scale=1.0,
-                            q=1, truncation=20000)
-        for x in np.r_[np.linspace(0.0, 50.0, 40), LOG_EDGE]:
-            got = ultrapoly_eval(P, x, strict=False)
-            assert got.real.hex() == math.exp(scalar_log_product(P, x)).hex()
+    def test_eval_and_scalar_product_within_error_model(self, s):
+        # the series tail and the single pairwise sum both stay within the
+        # error model of the exact sum, and the model within 8 eps
+        w = WeightSequence.gevrey(s, truncation=192)
+        cases = [(1.0, 20000, np.r_[np.linspace(0.0, 50.0, 40), LOG_EDGE])]
+        cases += [(l, J, np.geomspace(1e-6, 1e3, 10)) for l in (1e-3, 1.0, 16.0)
+                  for J in (50, 5000, 20000)]
+        for l, J, xs in cases:
+            P = Ultrapolynomial(weight=w, scale=l, q=1, truncation=J)
+            sums = wt._log_factor_sums(P, xs)
+            for x, got in zip(xs.tolist(), sums.tolist()):
+                ref, head = fsum_reference(P, x), head_size(P, x)
+                for value, bound in ((got, error_bound(P, x, head)),
+                                     (scalar_log_product(P, x), error_bound(P, x, J))):
+                    assert abs(value - ref) <= bound <= 8.0 * EPS * ref, (l, J, x, head)
+        # ultrapoly_eval is exp of the same sum
+        P = Ultrapolynomial(weight=w, scale=1.0, q=1, truncation=20000)
+        xs = cases[0][2]
+        for x, got in zip(xs.tolist(), wt._log_factor_sums(P, xs).tolist()):
+            assert ultrapoly_eval(P, x, strict=False).real.hex() == math.exp(got).hex()
 
     def test_saturation_raises(self):
         P = Ultrapolynomial(weight=WeightSequence.gevrey(2.0, truncation=8), scale=1.0,
                             q=1, truncation=2000)
         with pytest.raises(SaturationError):
             verify_ultrapoly_bound(P, 1.0, [0.0, 1.0, 100.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_before_any_table(self, monkeypatch, wide, bad):
+        P = Ultrapolynomial(weight=wide, scale=1.0, q=1, truncation=2000)
+        monkeypatch.setattr(wt, "_log_factor_sums", lambda *args: pytest.fail("table built"))
+        grid = [0.0, 1.0, bad, 2.0]
+        with pytest.raises(UwqError, match="grid"):
+            verify_ultrapoly_bound(P, 1.0, grid)
+        with pytest.raises(UwqError, match="grid"):
+            fit_bound_scale(P, grid)
 
     def test_grid_origin_ratio_one(self, wide):
         P = Ultrapolynomial(weight=wide, scale=1.0, q=1, truncation=2000)
