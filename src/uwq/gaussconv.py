@@ -18,6 +18,7 @@ a ladder is accepted only if psi(delta_min xi) vanishes at the lattice edge
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -45,9 +46,19 @@ MAX_XI_STEP = 0.05  # largest xi step of the oscillatory pairing's lattice
 GL_ORDER = 200  # Gauss-Legendre nodes per axis of a CompactDensity
 
 
+@functools.cache
+def _gl_rule():
+    """The GL_ORDER-node Gauss-Legendre rule on [-1, 1], a constant: formed
+    once per process and read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(GL_ORDER)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
 def _gl_nodes(lo: np.ndarray, hi: np.ndarray):
     """Tensor-product Gauss-Legendre nodes/weights on the box [lo, hi]^d."""
-    xs, ws = np.polynomial.legendre.leggauss(GL_ORDER)
+    xs, ws = _gl_rule()
     nodes_1d = []
     weights_1d = []
     for a, b in zip(lo, hi):
@@ -100,6 +111,15 @@ class CompactDensity:
     @property
     def d(self) -> int:
         return self.lo.size
+
+    def _with_values(self, values: np.ndarray) -> "CompactDensity":
+        """This density's box, nodes and weights, checked when it was built,
+        carrying the complex ``values``: no check runs again."""
+        out = object.__new__(CompactDensity)
+        for name in ("lo", "hi", "nodes", "weights"):
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "values", values)
+        return out
 
     @classmethod
     def from_callable(cls, f: Callable, lo, hi) -> "CompactDensity":
@@ -166,14 +186,15 @@ def _check_s_x(S: CompactDensity, s: float, x) -> np.ndarray:
 
 def conv_gauss_via_laplace(S: CompactDensity, s: float, x) -> complex:
     """(S * e^{s|.|^2})(x) through the Laplace route:
-    e^{s|x|^2} L(e^{s|.|^2} S)(2 s x)."""
+    e^{s|x|^2} L(e^{s|.|^2} S)(2 s x), with e^{s|.|^2} S on S's own nodes
+    and weights."""
     x = _check_s_x(S, s, x)
     xsq = float(x @ x)
     gauss_weight = s * np.sum(S.nodes**2, axis=1)
     expo_bound = s * xsq + np.max(gauss_weight + np.abs(2.0 * s * (S.nodes @ x)))
     if expo_bound > _EXP_LIMIT or s * xsq > _EXP_LIMIT:
         raise OverflowDomainError("Gaussian factor overflows at this (s, x)")
-    weighted = replace(S, values=S.values * np.exp(gauss_weight))
+    weighted = S._with_values(S.values * np.exp(gauss_weight))
     return complex(math.exp(s * xsq) * laplace(weighted, (2.0 * s * x).astype(complex)))
 
 

@@ -16,8 +16,9 @@ convolutions with the circulant window in O(N^2 log N).
 stencil of at most 16 N^2 multiply-adds per axis and the O(N^2 log n)
 class-axis FFT.
 ``apply_symbol`` is the matrix-free path: it applies the same
-tau-quantization of a polynomial symbol to one function with FFTs, in
-O(N log N) per (xi-power, midpoint-power) pair and O(N) memory.
+tau-quantization of a polynomial symbol to a stack of k functions with
+FFTs over their trailing axes, in O(kN log N) per (xi-power,
+midpoint-power) pair and O(kN) memory.
 """
 
 from __future__ import annotations
@@ -372,23 +373,32 @@ def apply_operator(M: OperatorMatrix, u: FunctionGrid) -> FunctionGrid:
     return FunctionGrid(M.axis, (M.entries @ u.values.ravel()).reshape(M.axis.shape))
 
 
-def apply_symbol(a: PolySymbol, tau: float, u: FunctionGrid) -> FunctionGrid:
-    """Op_tau(a) u for a polynomial symbol, without an N x N matrix.
+def apply_symbol(a: PolySymbol, tau: float, axis: AxisGrid, values) -> np.ndarray:
+    """Op_tau(a) applied to each function of a stack, without an N x N matrix.
 
-    Expanding the midpoint power ((1-tau) x + tau y)^beta gives
+    ``values`` holds grid samples on its trailing d axes, shaped
+    ``(..., *axis.shape)`` (usually ``(k, *axis.shape)``: k functions); the
+    result has the same shape, each function mapped on its own, bitwise as
+    a call on that function alone.  Expanding the midpoint power
+    ((1-tau) x + tau y)^beta gives
         Op_tau(x^beta xi^alpha) u = sum_{k <= beta} c_k x^{beta-k} D^alpha(x^k u),
         c_k = prod_i C(beta_i, k_i) (1-tau)^{beta_i-k_i} tau^{k_i},
     where D^alpha multiplies the DFT by the ``_xi_power`` samples of
     xi^alpha: the operator of ``kernel_from_symbol`` to rounding.  Each
-    distinct x^k u is transformed once and each (alpha, k) pair transformed
-    back once, O(#(alpha, k) N log N) time and O(N) memory per pair.
+    distinct x^k U is transformed once for the whole stack and each
+    (alpha, k) pair transformed back once, so a call makes
+    #distinct k + #(alpha, k) FFTs of the stack whatever its length:
+    O(#(alpha, k) kN log N) time and O(kN) memory per pair.
     """
     tv = _finite_tau(tau)
     if not isinstance(a, PolySymbol):
         raise UwqError(f"expected a PolySymbol, got {type(a).__name__}")
-    axis = u.axis
     if a.d != axis.d:
         raise UwqError("symbol dimension does not match the grid")
+    U = np.asarray(values)
+    if U.shape[U.ndim - axis.d:] != axis.shape:
+        raise UwqError(f"stack must end in the grid shape {axis.shape}, got {U.shape}")
+    fft_axes = tuple(range(-axis.d, 0))
     meshes = axis.meshes()
 
     def xpow(e):
@@ -405,19 +415,19 @@ def apply_symbol(a: PolySymbol, tau: float, u: FunctionGrid) -> FunctionGrid:
                 m = tuple(b - j for b, j in zip(xe, k))
                 post[ke, k] = post.get((ke, k), 0.0) + ck * xpow(m)
     spectra = {}
-    out = np.zeros(axis.shape, dtype=complex)
+    out = np.zeros(U.shape, dtype=complex)
     for (ke, k), p in post.items():
         if not any(ke):
-            out += p * xpow(k) * u.values
+            out += p * xpow(k) * U
             continue
         if k not in spectra:
-            spectra[k] = np.fft.fftn(xpow(k) * u.values)
+            spectra[k] = np.fft.fftn(xpow(k) * U, axes=fft_axes)
         w = spectra[k]
         for i, al in enumerate(ke):
             if al:
                 w = w * _xi_multiplier(axis, al, i)
-        out += p * np.fft.ifftn(w)
-    return FunctionGrid(axis, out)
+        out += p * np.fft.ifftn(w, axes=fft_axes)
+    return out
 
 
 def weyl(a, axis: AxisGrid = None) -> OperatorMatrix:

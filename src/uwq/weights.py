@@ -32,6 +32,7 @@ the call, so array and pointwise evaluations agree bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ from .constants import (
     M2_H_LATTICE,
     WEIGHTS_TRUNCATION,
 )
-from .errors import SaturationError, TailBoundError, UwqError
+from .errors import OverflowDomainError, SaturationError, TailBoundError, UwqError
 
 __all__ = [
     "WeightSequence",
@@ -65,6 +66,7 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20  # row blocks of the ultrapolynomial factor table
 _THETA = 1.0 / 16.0     # the series tail takes the factors with x_j <= theta
 _SERIES_TERMS = 14      # K: truncation error <= theta^K / (K + 1) of the tail
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # exp is finite up to here
 
 
 @dataclass(frozen=True)
@@ -319,6 +321,14 @@ class Ultrapolynomial:
         return np.full(self.truncation, math.log(self.scale))
 
 
+def _square(v: float) -> float:
+    """v**2, and inf where that exceeds doubles (float ** raises there)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def _tail_log_bound(P: Ultrapolynomial, abs_z: float) -> float:
     """Upper bound on sum_{j > q+J-1} |z|^2 / (l^2 m_j^2) for the dropped tail."""
     if abs_z == 0.0:
@@ -328,7 +338,7 @@ def _tail_log_bound(P: Ultrapolynomial, abs_z: float) -> float:
         s = P.weight.generator[1]
         l = P.scale
         # sum_{j>J} j^(-2s) <= integral_J^inf t^(-2s) dt = J^(1-2s)/(2s-1)
-        return abs_z**2 / (l * l) * j_end ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
+        return _square(abs_z) / (l * l) * j_end ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
     raise TailBoundError(
         "cannot certify the dropped tail beyond the truncation of explicit weights"
     )
@@ -343,9 +353,11 @@ def _log_factor_sums(P: Ultrapolynomial, abs_z) -> np.ndarray:
     _BLOCK_BYTES; the tail j >= J0 is the K-term power-sum series of the
     module docstring, its coefficients formed once per distinct J0 in the
     call.  A |z| whose J0 reaches J, as any |z| > l m_j / 4 at the last
-    factor does, is all head.  Each entry depends on |z| alone, so it is
-    bitwise the sum that a call at that point by itself returns; its error
-    follows the module docstring's model, under 8 eps.
+    factor does, is all head.  A head term whose exp argument u exceeds
+    ln(DBL_MAX) is u itself, which log1p(e^u) is to rounding there, so the
+    sum stays finite up to |z| = DBL_MAX.  Each entry depends on |z| alone,
+    so it is bitwise the sum that a call at that point by itself returns;
+    its error follows the module docstring's model, under 8 eps.
     """
     abs_z = np.asarray(abs_z, dtype=float)
     log_m = P.log_m()
@@ -362,8 +374,9 @@ def _log_factor_sums(P: Ultrapolynomial, abs_z) -> np.ndarray:
         if h:
             step = max(1, _BLOCK_BYTES // (8 * h))
             for start in range(0, rows.size, step):
-                t = np.exp(2.0 * (dz[rows[start:start + step], None] - log_m[:h]))
-                sums[start:start + step] = np.sum(np.log1p(t), axis=1)
+                u = 2.0 * (dz[rows[start:start + step], None] - log_m[:h])
+                t = np.log1p(np.exp(np.minimum(u, _LOG_DBL_MAX)))
+                sums[start:start + step] = np.sum(np.where(u > _LOG_DBL_MAX, u, t), axis=1)
         if h < J:
             top, coeffs = _tail_series(log_m[h:])
             r = np.exp(2.0 * (dz[rows] - top))
@@ -405,7 +418,8 @@ def _tail_series(log_m: np.ndarray) -> Tuple[float, np.ndarray]:
 
 def ultrapoly_eval(P: Ultrapolynomial, z: complex, strict: bool = True,
                    tail_correction: bool = False) -> complex:
-    """Product of the first J factors at the point z, which must be finite.
+    """Product of the first J factors at the point z, which must be finite;
+    OverflowDomainError where the product exceeds doubles.
 
     With ``strict`` the dropped tail must satisfy the 1e-12 bound, otherwise
     TailBoundError.  ``tail_correction`` (real z only) adds the analytic
@@ -422,7 +436,10 @@ def ultrapoly_eval(P: Ultrapolynomial, z: complex, strict: bool = True,
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise UwqError(f"ultrapolynomial needs a finite z, got {z!r}")
-    abs_z = abs(z)
+    try:
+        abs_z = abs(z)
+    except OverflowError:
+        raise OverflowDomainError(f"|z| exceeds doubles at z = {z!r}") from None
     if strict and not tail_correction:
         if _tail_log_bound(P, abs_z) >= 1e-12:
             raise TailBoundError(
@@ -433,11 +450,17 @@ def ultrapoly_eval(P: Ultrapolynomial, z: complex, strict: bool = True,
         total = float(_log_factor_sums(P, [abs_z])[0])
         if tail_correction:
             total += _tail_log_correction(P, abs_z)
+        if total > _LOG_DBL_MAX:
+            raise OverflowDomainError(f"ultrapolynomial exceeds doubles at |z| = {abs_z:g}: "
+                                      f"its log is {total:.6g}")
         return complex(math.exp(total))
     if tail_correction:
         raise UwqError("tail correction is only defined for real arguments")
-    factors = 1.0 + (z * z) * np.exp(-2.0 * (P.log_scales() + P.log_m()))
-    return complex(np.prod(factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = complex(np.prod(1.0 + (z * z) * np.exp(-2.0 * (P.log_scales() + P.log_m()))))
+    if not (math.isfinite(prod.real) and math.isfinite(prod.imag)):
+        raise OverflowDomainError(f"ultrapolynomial exceeds doubles at z = {z!r}")
+    return prod
 
 
 def _tail_log_correction(P: Ultrapolynomial, abs_z: float) -> float:
@@ -453,7 +476,7 @@ def _tail_log_correction(P: Ultrapolynomial, abs_z: float) -> float:
     s = P.weight.generator[1]
     l = P.scale
     j0 = P.q + P.truncation - 0.5  # midpoint rule start
-    c = abs_z**2 / (l * l)
+    c = _square(abs_z) / (l * l)
     first = c * j0 ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
     second = 0.5 * c * c * j0 ** (1.0 - 4.0 * s) / (4.0 * s - 1.0)
     if second >= 1e-12:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import uwq.gaussconv as gaussconv
 from uwq.errors import OverflowDomainError, UwqError
 from uwq.expansion import PolySymbol
 from uwq.gaussconv import (
@@ -33,6 +35,37 @@ def test_convolution_via_laplace_matches_direct(name):
             via = conv_gauss_via_laplace(S, s, x)
             direct = conv_gauss_direct(S, s, x)
             assert abs(via - direct) / (1.0 + abs(direct)) <= 1e-8, (s, x)
+
+
+def test_gauss_legendre_rule_formed_once(monkeypatch):
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or real(n))
+    gaussconv._gl_rule.cache_clear()
+    CompactDensity.indicator(-1.0, 1.0)
+    CompactDensity.gaussian_bump(-1.0, 1.0)
+    CompactDensity.poly_times_bump([1.0, 1.0, 1.0], -2.0, 0.5)
+    assert calls == [gaussconv.GL_ORDER]
+    for a in gaussconv._gl_rule():
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_laplace_route_does_not_revalidate(monkeypatch):
+    # bitwise the Laplace transform of e^{s|.|^2} S built as a density, with
+    # no second pass through the density's checks
+    S = DENSITIES["polybump"]
+    want = {}
+    for s in (-2.0, -0.25):
+        for x in (-3.0, 0.5, 4.0):
+            gauss = np.exp(s * np.sum(S.nodes**2, axis=1))
+            weighted = dataclasses.replace(S, values=S.values * gauss)
+            want[s, x] = complex(math.exp(s * x * x) * laplace(weighted, 2.0 * s * x))
+    monkeypatch.setattr(gaussconv, "_box", lambda lo, hi: pytest.fail("box checked again"))
+    for (s, x), v in want.items():
+        assert conv_gauss_via_laplace(S, s, x) == v
 
 
 def test_laplace_of_indicator_closed_form():

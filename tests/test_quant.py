@@ -443,26 +443,35 @@ class TestApplySymbol:
         k = 5 * axis.dxi
         pts = axis.points()
         mode = FunctionGrid(axis, np.exp(1j * k * pts))
-        assert np.max(np.abs(apply_symbol(XI * XI * XI, 0.5, mode).values
+        assert np.max(np.abs(apply_symbol(XI * XI * XI, 0.5, axis, mode.values)
                              - k**3 * mode.values)) < 1e-12 * k**3
-        assert np.max(np.abs(apply_symbol(X * X, 0.5, mode).values
+        assert np.max(np.abs(apply_symbol(X * X, 0.5, axis, mode.values)
                              - pts**2 * mode.values)) < 1e-12
 
     def test_odd_power_drops_nyquist_bin(self, axis):
         xi_n = math.pi * axis.n / (2 * axis.L)
         nyquist = FunctionGrid(axis, np.exp(-1j * xi_n * axis.points()))
-        assert np.max(np.abs(apply_symbol(XI, 0.0, nyquist).values)) < 1e-12
-        even = apply_symbol(XI * XI, 0.0, nyquist).values
+        assert np.max(np.abs(apply_symbol(XI, 0.0, axis, nyquist.values))) < 1e-12
+        even = apply_symbol(XI * XI, 0.0, axis, nyquist.values)
         assert np.max(np.abs(even - xi_n**2 * nyquist.values)) < 1e-12 * xi_n**2
 
     def test_rejects_bad_inputs(self, axis):
         u = gaussian_window(axis)
         with pytest.raises(UwqError, match="PolySymbol"):
-            apply_symbol(sample_symbol(XI, axis), 0.5, u)
+            apply_symbol(sample_symbol(XI, axis), 0.5, axis, u.values)
         with pytest.raises(UwqError, match="dimension"):
-            apply_symbol(PolySymbol.xi(0, 2), 0.5, u)
+            apply_symbol(PolySymbol.xi(0, 2), 0.5, axis, u.values)
         with pytest.raises(UwqError, match="tau must be finite"):
-            apply_symbol(XI, math.nan, u)
+            apply_symbol(XI, math.nan, axis, u.values)
+
+    def test_rejects_stack_of_another_grid(self, axis):
+        u = gaussian_window(axis).values
+        for bad in (u[:-1], np.stack([u, u]).T, np.zeros(()), np.zeros((2, 3, axis.n + 2))):
+            with pytest.raises(UwqError, match="grid shape"):
+                apply_symbol(XI, 0.5, axis, bad)
+        ax2 = AxisGrid(16, 4.0, 2)
+        with pytest.raises(UwqError, match="grid shape"):
+            apply_symbol(PolySymbol.xi(0, 2), 0.5, ax2, np.zeros((3, 16)))
 
 
 class TestTransposeMatrices:

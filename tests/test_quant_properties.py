@@ -1,6 +1,7 @@
 """Property tests: the matrix-free ``apply_symbol`` is the dense
-tau-quantization operator, and ``transpose_terms`` is the symbol of its
-transpose; they need hypothesis.
+tau-quantization operator, acts on a stack of functions bitwise as on each
+function alone, and ``transpose_terms`` is the symbol of its transpose;
+they need hypothesis.
 
 Both paths compute the same discrete operator, so the only defect is
 rounding.  It is bounded relative to sum_terms |c| L^|beta| xi_N^|alpha|
@@ -56,10 +57,28 @@ def test_apply_symbol_is_the_dense_operator(data, d, tau, seed):
     rng = np.random.default_rng(seed)
     u = FunctionGrid(axis, rng.standard_normal(axis.shape) + 1j * rng.standard_normal(axis.shape))
     dense = operator_matrix(kernel_from_symbol(a, tau, axis)).entries @ u.values.ravel()
-    got = apply_symbol(a, tau, u).values.ravel()
+    got = apply_symbol(a, tau, axis, u.values).ravel()
     xi_n = math.pi * axis.n / (2.0 * axis.L)
     scale = sum(abs(c) * axis.L ** sum(xe) * xi_n ** sum(ke) for (xe, ke), c in a.terms.items())
     assert np.max(np.abs(got - dense)) <= TOL * scale * np.max(np.abs(u.values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]),
+       tau=st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3]), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_apply_symbol_is_bitwise_per_function(data, d, tau, k, seed):
+    axis = GRIDS[d]
+    a = data.draw(polys(d))
+    rng = np.random.default_rng(seed)
+    shape = (k, *axis.shape)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = apply_symbol(a, tau, axis, U)
+    assert stacked.shape == U.shape
+    for u, got in zip(U, stacked):
+        want = apply_symbol(a, tau, axis, u[None])[0]
+        assert np.array_equal(got, want)
+        assert np.array_equal(apply_symbol(a, tau, axis, u), want)
 
 
 TRANSPOSE_TOL = 1e-12
@@ -74,8 +93,8 @@ CORPUS = _decaying_corpus(AxisGrid(128, 10.0, 1))
 def test_transpose_terms_is_the_operator_transpose(terms, tau):
     a = PolySymbol(1, {((j,), (k,)): c for (j, k), c in terms.items()})
     b = transpose_terms(a, tau)
-    Au = [apply_symbol(a, tau, u).values for u in CORPUS]
-    Bv = [apply_symbol(b, tau, v).values for v in CORPUS]
+    Au = [apply_symbol(a, tau, u.axis, u.values) for u in CORPUS]
+    Bv = [apply_symbol(b, tau, v.axis, v.values) for v in CORPUS]
     for (u, au), (v, bv) in itertools.product(zip(CORPUS, Au), zip(CORPUS, Bv)):
         err = abs(np.sum(au * v.values) - np.sum(u.values * bv))
         assert err <= TRANSPOSE_TOL * np.linalg.norm(au) * np.linalg.norm(v.values)

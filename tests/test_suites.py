@@ -1,14 +1,19 @@
 import dataclasses
+import itertools
 import json
 import sys
 import time
 import types
 
+import numpy as np
 import pytest
 
 import uwq.suites as suites
 from uwq.cli import main
 from uwq.errors import UwqError
+from uwq.expansion import PolySymbol, compose_terms, tau_change_terms
+from uwq.grid import AxisGrid
+from uwq.quant import apply_symbol
 from uwq.suites import Report, SuiteParams, _half_band, report_header, run_suite
 
 
@@ -134,3 +139,58 @@ def test_weights_growth_bound_uses_the_fitted_constants(monkeypatch):
                         or real_bound(w, m, n, constants))
     assert suites.criterion_weights(SuiteParams()).status == "pass"
     assert len(seen) == 3 and all(c is not None for c in seen)
+
+
+def per_function_tau_and_compose(n: int) -> tuple:
+    """The tau_change and composition measurements with one apply_symbol
+    call per function and per (t1, t) or (a, b) pair: the loops the stacked
+    criteria replace."""
+
+    def defect(ref, other):
+        return float(np.max(np.abs(ref - other))) / max(1.0, float(np.max(np.abs(ref))))
+
+    params = SuiteParams(n=n)
+    axis = AxisGrid(params.n, params.L, 1)
+    corpus = [u.values for u in suites._decaying_corpus(axis)]
+    tau = 0.0
+    for a in suites._tau_polys():
+        for t1, t in itertools.product([0.0, 0.5, 1.0], repeat=2):
+            b = tau_change_terms(a, t1, t)
+            for u in corpus:
+                tau = max(tau, defect(apply_symbol(a, t1, axis, u), apply_symbol(b, t, axis, u)))
+    monos = [PolySymbol.monomial(1, (i,), (j,))
+             for i in range(4) for j in range(4) if 1 <= i + j <= 3]
+    compose = 0.0
+    for a, b in itertools.product(monos, monos):
+        f = compose_terms(a, b)
+        for u in corpus[:3]:
+            v1 = apply_symbol(a, 0.0, axis, apply_symbol(b, 0.0, axis, u))
+            compose = max(compose, defect(v1, apply_symbol(f, 0.0, axis, u)))
+    return tau, compose
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_stacked_tau_and_compose_match_per_function_loops(n):
+    params = SuiteParams(n=n)
+    tau, compose = per_function_tau_and_compose(n)
+    assert suites.criterion_tau_change(params).measured == tau
+    assert suites.criterion_composition(params).measured == compose
+
+
+def test_tau_and_compose_transform_whole_stacks(monkeypatch):
+    # one pass made 1,179 apply_symbol calls and 2,486 fftn/ifftn calls
+    # when each function was transformed on its own
+    calls = {"apply": 0, "fft": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(suites, "apply_symbol", counting(suites.apply_symbol, "apply"))
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, "fft"))
+    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, "fft"))
+    suites.criterion_tau_change(SuiteParams())
+    suites.criterion_composition(SuiteParams())
+    assert calls["apply"] <= 231 and calls["fft"] <= 474, calls

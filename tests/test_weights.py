@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from uwq.constants import BOUND_K_LADDER
-from uwq.errors import SaturationError, TailBoundError, UwqError
+from uwq.errors import OverflowDomainError, SaturationError, TailBoundError, UwqError
 from uwq.expansion import ClassParams, PolySymbol, compositions, gamma_norm_estimate, poly_derive
 from uwq.weights import (
     Ultrapolynomial,
@@ -299,6 +300,30 @@ class TestUltrapolynomial:
         P = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=50)
         with pytest.raises(UwqError, match="finite z"):
             ultrapoly_eval(P, z, strict=strict)
+
+    @pytest.mark.parametrize("z", [1e100, 1e154, 1e200, 1.7e308])
+    def test_huge_real_z_overflows_as_a_domain_error(self, gevrey2, z):
+        # the log of the product is finite up to |z| = DBL_MAX; the product
+        # itself exceeds doubles at each of these z
+        P = Ultrapolynomial(weight=gevrey2, scale=1.0, q=1, truncation=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = float(wt._log_factor_sums(P, [z])[0])
+            # log1p(e^u) is u to rounding where e^u would overflow
+            us = [2.0 * (math.log(z) - lm) for lm in P.log_m().tolist()]
+            ref = math.fsum(u if u > 700.0 else math.log1p(math.exp(u)) for u in us)
+            # positive terms: a pairwise sum of J terms is off by at most
+            # ceil(log2 J) eps of the sum, each term by an ulp
+            assert abs(total - ref) <= (math.ceil(math.log2(P.truncation)) + 1) * EPS * ref
+            for w in (z, complex(0.0, z)):
+                with pytest.raises(OverflowDomainError, match="exceeds doubles"):
+                    ultrapoly_eval(P, w, strict=False)
+            with pytest.raises(TailBoundError):
+                ultrapoly_eval(P, z, strict=True)
+            with pytest.raises(TailBoundError):
+                ultrapoly_eval(P, z, strict=False, tail_correction=True)
+            with pytest.raises(OverflowDomainError, match="exceeds doubles"):
+                ultrapoly_eval(P, complex(z, z), strict=False)
 
     def test_explicit_weights_cannot_certify_tail(self):
         ones = WeightSequence.explicit(values=[1.0] * 65)
