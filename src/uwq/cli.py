@@ -268,9 +268,7 @@ def _cmd_antiwick(args) -> int:
         raise UwqError("--out is required for operator output")
     a, axis = _operator_symbol(args)
     if args.verify_smoothing:
-        rep = verify_smoothing_identity(a, axis)
-        _write_out(f"max_err {rep['max_err']:.6e} (full matrix {rep['max_err_full']:.6e})\n".encode(),
-                   args.out)
+        _write_out(f"max_err {verify_smoothing_identity(a, axis):.6e}\n".encode(), args.out)
         return 0
     M = anti_wick_matrix(a, axis)
     save_grid(M.axis, M.entries, args.out, "operator")

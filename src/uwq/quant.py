@@ -3,13 +3,20 @@ kernels and matrices, symbol <-> kernel conversion, Weyl and Kohn-Nirenberg
 special cases, Anti-Wick operators by STFT sandwich, and the
 Gaussian-smoothed-Weyl identity check.
 
-Two evaluation paths feed the kernel builder.  Polynomial symbols are
-evaluated exactly at the off-grid midpoints (1-tau) x + tau y, so no
-interpolation error contaminates identity checks; sampled symbols are
-trigonometrically interpolated in the x slot, exact for band-limited data.
+Two evaluation paths feed the kernel builder, with two midpoint
+conventions.  Polynomial symbols are evaluated exactly at the unwrapped
+midpoints (1-tau) x + tau y, so no interpolation error contaminates
+identity checks; this is the operator algebra of unwrapped X and D that
+``apply_symbol``, the exact calculus and ``transpose`` rely on.  Sampled
+symbols are trigonometrically interpolated in the x slot, exact for
+band-limited data, at the torus midpoint x - tau r of the nearest periodic
+image r of x - y, the convention ``symbol_from_kernel`` inverts.  The two
+midpoints coincide wherever |t - s| < n/2 on every axis; at the corner
+entries |t - s| > n/2 they lie tau 2L apart, which shows for symbols that
+do not decay at the box edge, such as growing polynomials.
 Operator matrices are dense N x N arrays over the N = n^d grid points.
 Kernel assembly works per difference class t - s: O(N^2) per distinct
-x-exponent of a polynomial symbol, and O(N^2 log n) time and O(2^d N^2)
+x-exponent of a polynomial symbol, and O(N^2 log n) time and O(N^2)
 memory for a sampled one; the Anti-Wick matrix is assembled by FFT
 convolutions with the circulant window in O(N^2 log N).
 ``symbol_from_kernel`` inverts the kernel map by an O(N^2) gather, a
@@ -26,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,13 +68,17 @@ __all__ = [
 ]
 
 
-def _tau_fraction(tv: float) -> tuple:
+def _tau_fraction(tv: float, n: int) -> tuple:
     """tau as p/q with a small denominator; required by the interpolating
-    paths so midpoints land on a refined lattice."""
+    paths so midpoints land on a refined lattice.  They read tau only
+    through x - tau r mod n for integer r, so p is reduced mod q n, into
+    [-q n/2, q n/2): tau and tau + n give one map, and tau in [-n/2, n/2)
+    keeps its own p."""
     frac = Fraction(tv).limit_denominator(64)
     if abs(float(frac) - tv) > 1e-12:
         raise UwqError("tau must be rational with denominator <= 64 on grid paths")
-    return frac.numerator, frac.denominator
+    p, q = frac.numerator, frac.denominator
+    return (p + q * n // 2) % (q * n) - q * n // 2, q
 
 
 @dataclass(frozen=True)
@@ -216,63 +228,51 @@ def _kernel_from_poly(a: PolySymbol, tv: float, axis: AxisGrid) -> KernelMatrix:
 
 
 def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
-    """K[t, s] = B((1-tau) x_t + tau x_s, t - s) per axis, with B the
-    inverse xi transform of the symbol.
+    """K[t, s] = B(x_t - tau r dx, r) per axis, with B the inverse xi
+    transform of the symbol and r = ((t - s + n/2) mod n) - n/2 the nearest
+    periodic image of t - s, the class ``symbol_from_kernel`` reads.
 
-    For tau = p/q the midpoint is the point w = q t - p (t - s) of the
-    q-times finer lattice, and its residue c = w mod q depends only on
-    t - s.  Difference class r (mod n) holds the differences r - n/2 (slot
-    0) and r - n/2 moved by n towards zero (slot 1), so a column of B is
-    read at one or two residues, each a spectral shift of the column by c/q
-    steps with length-n FFTs along x.  The whole steps w // q are left to
-    the final gather; q = 1 gathers B as it is.
+    For tau = p/q the midpoint is the point w = q t - p r of the q-times
+    finer lattice, and its residue c = -p r mod q depends only on the class,
+    so each column of B is shifted spectrally by c/q steps in place, with
+    length-n FFTs along x.  The whole steps w // q are left to the final
+    gather; q = 1 gathers B as it is.
     """
     axis = a.xaxis
     d, n = axis.d, axis.n
-    p, q = _tau_fraction(tv)
+    p, q = _tau_fraction(tv, n)
     B = _shifted_ifft(a.values, tuple(range(d, 2 * d)))
     B /= axis.dx**d
-    # per difference t - s = 1-n .. n-1: its class, residue and slot; the
-    # slots of a class differ in residue by p n mod q
-    diff = np.arange(1 - n, n)
-    r = (diff + n // 2) % n
-    slots = 2 if (p * n) % q else 1
-    slot = ((diff < -n // 2) | (diff >= n // 2)).astype(np.intp) * (slots - 1)
-    cls = np.zeros((slots, n), dtype=np.intp)
-    cls[slot, r] = (-p * diff) % q
+    # per class index r + n/2: the whole steps and the residue of -p r / q
+    whole, res = np.divmod(-p * (np.arange(n) - n // 2), q)
     if q > 1:
         # interpolating shift by c/q steps in DFT order; the unpaired
         # most-negative bin, split evenly between -n/2 and n/2, takes cos(pi c/q)
         k = np.fft.fftfreq(n, 1.0 / n)
         spectra = np.exp(2j * math.pi / (q * n) * np.outer(k, np.arange(q)))
         spectra[n // 2] = np.cos(math.pi / q * np.arange(q))
-        # each axis prepends its slot axis, the last axis first, so B ends
-        # as B[e_0, .., e_{d-1}, x, r]
         for i in reversed(range(d)):
-            np.fft.fft(B, axis=i - 2 * d, out=B)
-            out = np.empty((slots,) + B.shape, dtype=complex)
-            shape = [1] * B.ndim
-            shape[i - 2 * d] = shape[i - d] = n
-            for e in range(slots):
-                np.multiply(B, spectra[:, cls[e]].reshape(shape), out=out[e])
-                np.fft.ifft(out[e], axis=i - 2 * d, out=out[e])
-            B = out
-    else:
-        B = B[(np.newaxis,) * d]
+            shape = [1] * (2 * d)
+            shape[i] = shape[d + i] = n
+            np.fft.fft(B, axis=i, out=B)
+            B *= spectra[:, res].reshape(shape)
+            np.fft.ifft(B, axis=i, out=B)
     step = np.array(B.strides) // B.itemsize
     j = np.arange(n)
-    D = np.subtract.outer(j + (n - 1), j)  # index of t - s into the tables above
     parts = []
     for i in range(d):
-        P = ((-p * diff) // q)[D]
+        C = np.subtract.outer(j + n // 2, j)
+        C &= n - 1  # the class index of t - s (n a power of two)
+        P = whole[C]
         P += j[:, None]
-        P &= n - 1  # the coarse row w // q, mod n (a power of two)
-        P *= step[d + i]
-        P += (r * step[2 * d + i] + slot * step[i])[D]
+        P &= n - 1  # the coarse row w // q, mod n
+        P *= step[i]
+        C *= step[d + i]
+        P += C
+        del C  # freed before the gather, whose peak is B, idx and K
         shape = [1] * (2 * d)
         shape[i] = shape[d + i] = n
         parts.append(P.reshape(shape))
-    del D
     idx = functools.reduce(np.add, parts).reshape(axis.size, axis.size)
     return KernelMatrix(axis, np.take(B, idx))
 
@@ -304,18 +304,15 @@ def symbol_from_kernel(K: KernelMatrix, tau: float) -> PhaseFunctionGrid:
     difference class slid back by its whole steps; a 16-point Lagrange
     stencil (nodes -7..8: 16 multiply-adds of row slices, weights computed
     once per distinct fraction) shifts the classes left a fraction of a
-    step off the grid; then the class axes are transformed.  Entries whose
-    column index wraps around the box sample the wrong periodic image of
-    the midpoint slot; the local stencil keeps that defect near the box
-    edge, so accuracy away from the boundary needs only a symbol smooth on
-    the grid scale (exact for polynomial midpoint dependence up to degree
-    15).
+    step off the grid; then the class axes are transformed.  Accuracy needs
+    only a symbol smooth on the grid scale (exact for polynomial midpoint
+    dependence up to degree 15).
     """
     if not isinstance(K, KernelMatrix):
         raise UwqError(f"expected a KernelMatrix, got {type(K).__name__}")
     axis = K.axis
     d, n, N = axis.d, axis.n, axis.size
-    p, q = _tau_fraction(_finite_tau(tau))
+    p, q = _tau_fraction(_finite_tau(tau), n)
     # per class in DFT order: its difference r and the offset p r / q of its
     # midpoints, in whole steps and a fraction
     r = (np.arange(n) + n // 2) % n - n // 2
@@ -517,39 +514,27 @@ def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:
     return PhaseFunctionGrid(axis, conv)
 
 
-def verify_smoothing_identity(a, axis: AxisGrid = None) -> dict:
-    """Entrywise discrepancy between the Anti-Wick matrix of a and the Weyl
-    matrix of its Gaussian-smoothed symbol - the headline identity.
+def verify_smoothing_identity(a, axis: AxisGrid = None) -> float:
+    """Largest entrywise discrepancy, over the whole matrix, between the
+    Anti-Wick matrix of a and the Weyl matrix of its Gaussian-smoothed
+    symbol - the headline identity.
 
     Both routes discretize the same torus objects through independent code
     paths (STFT sandwich vs FFT convolution plus kernel quadrature).
-    ``max_err`` is taken over the centered half-box block of the matrix:
-    rows and columns within a window width of the box seam couple opposite
-    box edges through the wrap, where the two discretizations represent the
-    seam differently by O(1) for growing symbols - a boundary artifact, not
-    part of the identity.  ``max_err_full`` reports the unrestricted value.
     """
     axis = _symbol_axis(a, axis)
     if isinstance(a, PolySymbol):
         a = sample_symbol(a, axis)
     A = anti_wick_matrix(a)
     B = weyl(gauss_smooth(a))
-    diff = np.abs(A.entries - B.entries)
-    per_axis = np.abs(axis.points()) <= axis.L / 2.0
-    mask = per_axis.copy()
-    for _ in range(axis.d - 1):
-        mask = np.multiply.outer(mask, per_axis)
-    flat = mask.ravel()
-    inner = diff[np.ix_(flat, flat)]
-    return {
-        "max_err": float(np.max(inner)),
-        "max_err_full": float(np.max(diff)),
-    }
+    return float(np.max(np.abs(A.entries - B.entries)))
 
 
 def hermite_function(k: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal Hermite function h_k via the stable two-term recurrence;
     eigenfunction of the x^2 + xi^2 Weyl operator with eigenvalue 2k + 1."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise UwqError(f"Hermite index must be a non-negative integer, got {k!r}")
     x = np.asarray(x, dtype=float)
     h_prev = np.zeros_like(x)
     h = math.pi ** (-0.25) * np.exp(-0.5 * x**2)

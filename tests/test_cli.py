@@ -186,6 +186,22 @@ def test_out_goes_to_file(files, capsys):
     assert complex(Path(f("lap0.txt")).read_text().strip()) == pytest.approx(2.0)
 
 
+def test_verify_smoothing_writes_one_line(files):
+    f = files
+    assert run(["antiwick", "--symbol", f("p.toml"), "--verify-smoothing", "--out", f("vs.txt")]) == 0
+    (line,) = Path(f("vs.txt")).read_text().splitlines()
+    key, value = line.split()
+    assert key == "max_err" and float(value) < 1e-5
+
+
+def test_huge_tau_quantizes_mod_n(files):
+    # the grid symbol has n=8, and 1e20 = 0 mod 8
+    f = files
+    assert run(["quantize", "--symbol", f("grid.toml"), "--tau", 1e20, "--out", f("big.csv")]) == 0
+    assert run(["quantize", "--symbol", f("grid.toml"), "--tau", 0, "--out", f("zero.csv")]) == 0
+    assert Path(f("big.csv")).read_bytes() == Path(f("zero.csv")).read_bytes()
+
+
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 def test_dropped_options_rejected(files, command, capsys):
     argv = valid_commands(files)[command]

@@ -34,6 +34,7 @@ from uwq.quant import (
     weyl,
 )
 from uwq.stft import window_translates
+from uwq.suites import _band_limited
 
 X = PolySymbol.x()
 XI = PolySymbol.xi()
@@ -61,9 +62,8 @@ def decaying_corpus(axis):
 
 
 def localized_symbol(axis, seed, xw=3.0, kw=6.0):
-    """Band-limited and box-localized in both slots.  Kernel round trips
-    need the periodic extension smooth to the target tolerance, i.e. the
-    envelopes must decay at the box seams (xw, kw control the widths)."""
+    """Band-limited and box-localized in both slots (xw, kw control the
+    widths of the envelopes)."""
     rng = np.random.default_rng(seed)
     pts = axis.points()
     dual = axis.dual().points()
@@ -142,16 +142,17 @@ def upsample_axis(values, q, ax):
 def upsampled_kernel(a, tau):
     """Reference sampled kernel: each difference-class column of the
     inverse xi transform upsampled onto the q-times finer x lattice (tau =
-    p/q), then read at the midpoints (q - p) t + p s.  Columns go one at a
-    time so the q^d-fold lattice never exists for all of them at once."""
+    p/q), then read at the nearest-image midpoints q t - p r, r = ((t - s +
+    n/2) mod n) - n/2.  Columns go one at a time so the q^d-fold lattice
+    never exists for all of them at once."""
     axis = a.xaxis
     d, n, N = axis.d, axis.n, axis.size
     frac = Fraction(tau).limit_denominator(64)
     p, q = frac.numerator, frac.denominator
     B = shifted(np.fft.ifftn, a.values, tuple(range(d, 2 * d))) / axis.dx**d
     J = np.indices(axis.shape).reshape(d, N)
-    widx = [((q - p) * J[i][:, None] + p * J[i][None, :]) % (q * n) for i in range(d)]
     ridx = [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(d)]
+    widx = [(q * J[i][:, None] - p * (ridx[i] - n // 2)) % (q * n) for i in range(d)]
     K = np.empty((N, N), dtype=complex)
     for r in itertools.product(range(n), repeat=d):
         fine = B[(Ellipsis,) + r]
@@ -304,14 +305,66 @@ class TestKernelAssembly:
         else:
             assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n, d, tau", [(128, 1, 1 / 64), (8, 2, 1 / 8)])
+    @pytest.mark.parametrize("n, d, tau", [(128, 1, 1 / 64), (8, 2, 1 / 8), (16, 2, 1 / 64)])
     def test_grid_peak_memory(self, n, d, tau):
         # a q-fold fine lattice would take about q^d times the N x N output;
-        # the first call fills numpy's FFT plan cache, so it goes untraced
+        # the in-place shift leaves B, the gather index and K at the peak.
+        # The first call fills numpy's FFT plan cache, so it goes untraced
         a = random_symbol(AxisGrid(n, 3.0, d), 32)
         output = 16 * a.xaxis.size**2
         kernel_from_symbol(a, tau)
-        assert traced_peak_bytes(lambda: kernel_from_symbol(a, tau)) <= 5 * output
+        assert traced_peak_bytes(lambda: kernel_from_symbol(a, tau)) <= 3.5 * output
+
+    @pytest.mark.parametrize("n, d", [(8, 1), (4, 2)])
+    @pytest.mark.parametrize("tau", [2.0**52 + 1, 2.0**53 + 2, 1e20])
+    def test_huge_tau_enters_mod_n(self, n, d, tau):
+        # both sampled maps read tau only through x - tau r mod n
+        ax = AxisGrid(n, 3.0, d)
+        a = random_symbol(ax, 35)
+        K = KernelMatrix(ax, random_symbol(ax, 36).values.reshape(ax.size, ax.size))
+        base = tau % n
+        assert np.array_equal(kernel_from_symbol(a, tau).entries, kernel_from_symbol(a, base).entries)
+        assert np.array_equal(symbol_from_kernel(K, tau).values, symbol_from_kernel(K, base).values)
+
+
+class TestTorusWeyl:
+    """The sampled path is the torus tau-quantization with nearest-image
+    midpoints, so it keeps two exact identities: Moyal's
+    ||Op_tau(a)||_HS^2 = (2 pi)^{-d} ||a||^2 at every tau, and Mehler's
+    Weyl(e^{-|w|^2}) = (1/2) |h_0><h_0|."""
+
+    @staticmethod
+    def moyal_defect(a, tau):
+        # HS norm of the operator: sum |K|^2 dx^d dy^d = sum |M|^2; the
+        # phase-space cell dx dxi is 2 pi / n per axis
+        M = operator_matrix(kernel_from_symbol(a, tau)).entries
+        lhs = np.sum(np.abs(M) ** 2)
+        rhs = np.sum(np.abs(a.values) ** 2) / a.xaxis.size
+        return abs(lhs - rhs) / rhs
+
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0])
+    def test_moyal_1d(self, axis, tau):
+        for f in (lambda x, k: np.exp(-x**2 - k**2),
+                  lambda x, k: np.exp(-(x - 1.5) ** 2 - (k + 2.0) ** 2),
+                  lambda x, k: np.exp(-x**2 / 4 - 3 * k**2)):
+            a = PhaseFunctionGrid.from_callable(axis, f)
+            assert self.moyal_defect(a, tau) < 1e-12
+
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0])
+    def test_moyal_2d(self, tau):
+        ax2 = AxisGrid(32, 6.0, 2)
+        for f in (lambda x, y, k, l: np.exp(-x**2 - y**2 - k**2 - l**2),
+                  lambda x, y, k, l: np.exp(-(x - 1) ** 2 - (y + 0.5) ** 2 - (k - 1) ** 2 - (l + 2) ** 2),
+                  lambda x, y, k, l: np.exp(-x**2 / 2 - y**2 - 2 * k**2 - l**2 / 3)):
+            a = PhaseFunctionGrid.from_callable(ax2, f)
+            assert self.moyal_defect(a, tau) < 1e-12
+
+    @pytest.mark.parametrize("n, L, bound", [(256, 12.0, 1e-15), (128, 8.0, 1e-8)])
+    def test_mehler_projector(self, n, L, bound):
+        ax = AxisGrid(n, L, 1)
+        a = PhaseFunctionGrid.from_callable(ax, lambda x, k: np.exp(-x**2 - k**2))
+        h0 = hermite_function(0, ax.points())
+        assert np.max(np.abs(weyl(a).entries - 0.5 * np.outer(h0, h0) * ax.dx)) < bound
 
 
 class TestWeyl:
@@ -334,6 +387,13 @@ class TestWeyl:
         H = weyl(X * X + XI * XI, axis).entries
         evals = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
         assert np.max(np.abs(evals[:8] - np.arange(1, 16, 2))) < 1e-6
+
+    def test_hermite_rejects_bad_index(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        for bad in (-1, True, False, 1.0, 2.5, "2", None):
+            with pytest.raises(UwqError, match="Hermite index"):
+                hermite_function(bad, x)
+        assert np.array_equal(hermite_function(np.int64(2), x), hermite_function(2, x))
 
     def test_second_derivative_of_gaussian(self, axis):
         g0 = gaussian_window(axis)
@@ -388,6 +448,14 @@ class TestSymbolFromKernel:
         inner_idx = np.abs(pts) < axis.L / 2.0
         err = np.abs(rec.values - a.values)[inner_idx, :]
         assert np.max(err) < 1e-9 * np.max(np.abs(a.values))
+
+    @pytest.mark.parametrize("tau", [0.5, 0.25, 1 / 3])
+    def test_band_limited_round_trip_whole_box(self, axis, tau):
+        # the suite's smoothing-check symbol does not decay at the box edge;
+        # what is left is the 16-point stencil's error
+        a = PhaseFunctionGrid(axis, _band_limited(axis.n, 2, 12, np.random.default_rng(12346)))
+        rec = symbol_from_kernel(kernel_from_symbol(a, tau), tau)
+        assert np.max(np.abs(rec.values - a.values)) < 1e-10
 
     def test_operator_matrix_rejected(self, axis):
         with pytest.raises(UwqError, match="KernelMatrix"):
@@ -577,7 +645,7 @@ class TestAntiWick:
         # Anti-Wick of xi^2 equals the Weyl operator of xi^2 + 1/2 through
         # the smoothing route
         r = verify_smoothing_identity(XI * XI, axis)
-        assert r["max_err"] < 1e-7
+        assert r < 1e-7
         M1 = anti_wick_matrix(XI * XI, axis).entries
         M2 = weyl(gauss_smooth(sample_symbol(XI * XI, axis))).entries
         n4 = axis.n // 4
@@ -611,14 +679,14 @@ class TestGaussSmooth:
 
 class TestSmoothingIdentity:
     def test_unit_symbol(self, axis):
-        assert verify_smoothing_identity(ONE, axis)["max_err"] < 1e-10
+        assert verify_smoothing_identity(ONE, axis) < 1e-10
 
     def test_polynomial_corpus(self, axis):
         for sym in [X, XI * XI, X * X + XI * XI, X * X * X * X, X * XI]:
-            assert verify_smoothing_identity(sym, axis)["max_err"] < 1e-5
+            assert verify_smoothing_identity(sym, axis) < 1e-5
 
     def test_oscillator_symbol_tight(self, axis):
-        assert verify_smoothing_identity(X * X + XI * XI, axis)["max_err"] < 1e-6
+        assert verify_smoothing_identity(X * X + XI * XI, axis) < 1e-6
 
     def test_random_band_limited(self, axis):
         rng = np.random.default_rng(19)
@@ -629,7 +697,7 @@ class TestSmoothingIdentity:
         ) + 1j * rng.standard_normal((24, 24))
         vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spec))).real * n * n
         a = PhaseFunctionGrid(axis, (vals / np.max(np.abs(vals))).astype(complex))
-        assert verify_smoothing_identity(a)["max_err"] < 1e-5
+        assert verify_smoothing_identity(a) < 1e-5
 
     def test_inverse_recursion_matrix_form(self, axis):
         corpus = decaying_corpus(axis)
@@ -731,8 +799,7 @@ class TestTwoDimensions:
 
     def test_smoothing_identity_2d(self, ax2):
         sym = PolySymbol.xi(0, 2) * PolySymbol.xi(0, 2)
-        rep = verify_smoothing_identity(sym, ax2)
-        assert rep["max_err"] < 1e-5
+        assert verify_smoothing_identity(sym, ax2) < 1e-5
 
     def test_anti_wick_matrix_agrees_with_direct_2d(self, ax2):
         a = random_symbol(ax2, 29)
