@@ -458,6 +458,23 @@ def test_overflow_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_overflowing_operator_exits_2(tmp_path, capsys):
+    # a finite grid symbol whose class sums over xi overflow float64
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    save_phase(PhaseFunctionGrid(AXIS, np.full((N, N), 1e308)), f("big.csv"))
+    with open(f("big.toml"), "w", encoding="utf-8") as fh:
+        fh.write(f'kind = "grid"\npath = "{f("big.csv")}"\n')
+    for argv in (["antiwick", "--symbol", f("big.toml"), "--out", f("aw.csv")],
+                 ["antiwick", "--symbol", f("big.toml"), "--verify-smoothing"],
+                 ["quantize", "--symbol", f("big.toml"), "--tau", 0.5, "--out", f("q.csv")]):
+        assert run(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, (argv, out.err)
+        assert "overflows float64" in out.err
+    assert not Path(f("aw.csv")).exists() and not Path(f("q.csv")).exists()
+
+
 def test_osc_kernel_rejects_unresolved_band(files, capsys):
     # chi.csv has n=16, L=2.5: the band edge pi/dx = 10.05 lies inside the
     # support 2/delta = 40 of psi(0.05 xi)

@@ -105,7 +105,7 @@ def per_term_kernel(a, tau, axis):
     d, n, N = axis.d, axis.n, axis.size
     J = np.indices(axis.shape).reshape(d, N)
     rows = axis.points()[J]
-    diffs = [(J[i][:, None] - J[i][None, :] + n // 2) % n for i in range(d)]
+    diffs = [(J[i][:, None] - J[i][None, :]) % n for i in range(d)]
     K = np.zeros((N, N), dtype=complex)
     for (xe, ke), c in a.terms.items():
         W = np.ones((N, N), dtype=complex)
@@ -314,6 +314,18 @@ class TestKernelAssembly:
         output = 16 * a.xaxis.size**2
         kernel_from_symbol(a, tau)
         assert traced_peak_bytes(lambda: kernel_from_symbol(a, tau)) <= 3.5 * output
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1 / 3])
+    def test_overflow_raises(self, tau):
+        # finite symbols whose kernels overflow float64: the class sums of a
+        # sampled one, the xi-tables times the coefficient of a polynomial one
+        ax = AxisGrid(16, 4.0, 1)
+        with pytest.raises(OverflowDomainError, match="kernel overflows"):
+            kernel_from_symbol(PhaseFunctionGrid(ax, np.full((16, 16), 1e308)), tau)
+        with pytest.raises(OverflowDomainError, match="kernel overflows"):
+            kernel_from_symbol(1e308 * XI * XI, tau, ax)
+        with pytest.raises(OverflowDomainError, match="operator overflows"):
+            operator_matrix(KernelMatrix(AxisGrid(2, 1e300, 1), np.full((2, 2), 1e300)))
 
     @pytest.mark.parametrize("n, d", [(8, 1), (4, 2)])
     @pytest.mark.parametrize("tau", [2.0**52 + 1, 2.0**53 + 2, 1e20])
@@ -642,18 +654,52 @@ class TestAntiWick:
         assert nrm <= sup * (1.0 + 1e-6)
 
     def test_quadratic_matches_shifted_weyl(self, axis):
-        # Anti-Wick of xi^2 equals the Weyl operator of xi^2 + 1/2 through
-        # the smoothing route
-        r = verify_smoothing_identity(XI * XI, axis)
-        assert r < 1e-7
-        M1 = anti_wick_matrix(XI * XI, axis).entries
-        M2 = weyl(gauss_smooth(sample_symbol(XI * XI, axis))).entries
-        n4 = axis.n // 4
-        block = slice(n4, 3 * n4)
-        assert np.max(np.abs((M1 - M2)[block, block])) < 1e-7
+        # Anti-Wick of xi^2 against the Weyl matrix of its periodically
+        # smoothed symbol, over the whole matrix.  Weyl(xi^2 + 1/2) itself
+        # misses by 0.5 entrywise: the smoothing in xi wraps at the highest
+        # frequencies, where xi^2 jumps across the box edge
+        assert verify_smoothing_identity(XI * XI, axis) < 1e-7
+
+    def test_polynomial_symbol_paths_agree(self, axis):
+        # both Anti-Wick paths sample a polynomial symbol on the grid
+        a = 0.5 * X * X + XI * XI - 2.0 * X * XI
+        M = anti_wick_matrix(a, axis)
+        for u in decaying_corpus(axis)[:3]:
+            v1 = apply_operator(M, u).values
+            v2 = anti_wick_direct(a, u).values
+            assert np.array_equal(v2, anti_wick_direct(sample_symbol(a, axis), u).values)
+            assert np.max(np.abs(v1 - v2)) < 1e-11 * np.max(np.abs(v2))
+
+    def test_matrix_peak_memory(self):
+        # at d=1 the window-pair table is as large as M: it and its column
+        # copy sit beside the class table in the filter, then the index and M
+        # beside the class table in the gather (3.0x).  The first call fills
+        # numpy's FFT plan cache, so it goes untraced
+        a = random_symbol(AxisGrid(128, 3.0, 1), 37)
+        anti_wick_matrix(a)
+        assert traced_peak_bytes(lambda: anti_wick_matrix(a)) <= 4.5 * 16 * a.xaxis.size**2
+
+    def test_overflowing_matrix_raises(self, axis):
+        # every entry is finite; the class sums over xi are not
+        a = PhaseFunctionGrid(axis, np.full((axis.n, axis.n), 1e308))
+        with pytest.raises(OverflowDomainError, match="operator overflows"):
+            anti_wick_matrix(a)
+        with pytest.raises(OverflowDomainError, match="operator overflows"):
+            anti_wick_matrix(1e308 * XI * XI, axis)
 
 
 class TestGaussSmooth:
+    def test_rejects_polynomial_symbol(self):
+        with pytest.raises(UwqError, match="expected a PhaseFunctionGrid, got PolySymbol"):
+            gauss_smooth(X)
+
+    def test_overflow_raises(self, axis):
+        # the matrix of this symbol is finite; its 2d-axis FFT sums are not
+        a = PhaseFunctionGrid(axis, np.full((axis.n, axis.n), 1e306))
+        assert np.isfinite(anti_wick_matrix(a).entries).all()
+        with pytest.raises(OverflowDomainError, match="smoothed symbol overflows"):
+            gauss_smooth(a)
+
     def test_unit_mass(self, axis):
         out = gauss_smooth(sample_symbol(ONE, axis))
         assert np.max(np.abs(out.values - 1.0)) < 1e-12
