@@ -16,10 +16,17 @@ the heat slices, the tau-change, the composition and the gamma-norm estimate
 enumerate only the derivatives inside the symbol's degree box
 (``_degree_box``) and take only those that some single term survives
 (``_survives``); every other one differentiates the symbol to zero.
+
+Their sums accumulate in place (``_add_into``) instead of rebuilding the
+running total for every term: ``acc += s p`` has the rounding, key order
+and zero drops of ``acc = acc + p * s``.  The scalar product comes first,
+each sum is ``acc.get(k, 0.0) + v``, and a key whose sum is an exact zero
+leaves the total, so a later term puts it back at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -355,14 +362,37 @@ def moment_coeff(alpha, beta, d: Optional[int] = None) -> float:
     odd."""
     if d is None:
         d = len(alpha) if not isinstance(alpha, int) else 1
-    alpha = _as_midx(alpha, d)
-    beta = _as_midx(beta, d)
+    return _moment(_as_midx(alpha, d), _as_midx(beta, d))
+
+
+@functools.cache
+def _moment(alpha: MultiIndex, beta: MultiIndex) -> float:
+    """``moment_coeff`` on valid multi-indices, memoized: the heat slices
+    ask for the same few pairs again and again."""
     out = 1.0
     for a in alpha + beta:
         out *= gaussian_moment(a)
         if out == 0.0:
             return 0.0
     return out
+
+
+def _add_into(acc: Dict, p: PolySymbol, s=None) -> None:
+    """acc += s * p in place (acc += p when s is None), with exactly the
+    result of ``acc = acc + p * s`` on the terms dict of a symbol: the same
+    sums, the same key order and the same exact zeros dropped."""
+    if s is not None:
+        s = complex(s)
+    for k, v in p.terms.items():
+        if s is not None:
+            v = v * s
+            if v == 0:
+                continue
+        v = acc.get(k, 0.0) + v
+        if v != 0:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
 
 
 def _even_pairs(j: int, kcap: MultiIndex, xcap: MultiIndex
@@ -398,14 +428,12 @@ def _survives(p: PolySymbol, alpha: MultiIndex, beta: MultiIndex) -> bool:
 def _heat_slice(p: PolySymbol, l: int) -> PolySymbol:
     """sum_{|alpha+beta|=2l} c_{alpha,beta}/(alpha! beta!) d_xi^alpha d_x^beta p
     over the pairs that some term of p survives."""
-    d = p.d
-    out = PolySymbol.zero(d)
+    out: Dict = {}
     for alpha, beta in _even_pairs(l, *_degree_box(p)):
         if _survives(p, alpha, beta):
-            c = moment_coeff(alpha, beta, d)
-            dp = poly_derive(p, alpha, beta)
-            out = out + dp * (c / (multi_factorial(alpha) * multi_factorial(beta)))
-    return out
+            c = _moment(alpha, beta) / (multi_factorial(alpha) * multi_factorial(beta))
+            _add_into(out, poly_derive(p, alpha, beta), c)
+    return PolySymbol._trusted(p.d, out)
 
 
 def aw_to_weyl_terms(a: PolySymbol, J: Optional[int] = None) -> "FormalExpansion":
@@ -431,22 +459,22 @@ def heat_quarter(a: PolySymbol, sign: int = +1) -> PolySymbol:
     if sign not in (+1, -1):
         raise UwqError("sign must be +1 or -1")
     d = a.d
-    total = PolySymbol.zero(d)
+    total: Dict = {}
     term = a
     k = 0
     while not term.is_zero():
-        total = total + term
+        _add_into(total, term)
         k += 1
-        lap = PolySymbol.zero(d)
+        lap: Dict = {}
         kcap, xcap = _degree_box(term)
         for i in range(d):
             ax = tuple(2 * (j == i) for j in range(d))
             if xcap[i] >= 2:
-                lap = lap + poly_derive(term, None, ax)   # d_x_i^2
+                _add_into(lap, poly_derive(term, None, ax))   # d_x_i^2
             if kcap[i] >= 2:
-                lap = lap + poly_derive(term, ax, None)   # d_xi_i^2
-        term = lap * (sign / (4.0 * k))
-    return total
+                _add_into(lap, poly_derive(term, ax, None))   # d_xi_i^2
+        term = PolySymbol._trusted(d, lap) * (sign / (4.0 * k))
+    return PolySymbol._trusted(d, total)
 
 
 @dataclass(frozen=True)
@@ -476,13 +504,13 @@ def inverse_aw_recursion(b: PolySymbol, J: Optional[int] = None) -> InverseAwRes
         for k in range(0, j):
             primed[(k, j)] = PolySymbol.zero(b.d)
         for k in range(j, K + 1):
-            acc = PolySymbol.zero(b.d)
+            acc: Dict = {}
             for l in range(1, k - j + 2):
                 prev = primed.get((k - l, j - 1))
                 if prev is None or prev.is_zero():
                     continue
-                acc = acc + _heat_slice(prev, l)
-            primed[(k, j)] = acc
+                _add_into(acc, _heat_slice(prev, l))
+            primed[(k, j)] = PolySymbol._trusted(b.d, acc)
     bj = [
         sum(
             (primed[(k, j)] for k in range(j, K + 1)),
@@ -512,17 +540,16 @@ def tau_change_terms(a: PolySymbol, tau1: float, tau: float) -> PolySymbol:
     a finite sum.  Sign convention (D = -i d/dx) is pinned by the kernel
     round-trip oracle in the quant tests."""
     t = _finite_tau(tau1) - _finite_tau(tau)
-    out = PolySymbol.zero(a.d)
+    out: Dict = {}
     caps = tuple(map(min, *_degree_box(a)))
     max_order = min(a.x_degree(), a.xi_degree())
     for m in range(0, max(0, max_order) + 1):
         for beta in _capped_compositions(m, caps):
             if not _survives(a, beta, beta):
                 continue
-            dp = poly_derive(a, beta, beta)
             coeff = (t**m if m else 1.0) * (-1j) ** m / multi_factorial(beta)
-            out = out + dp * coeff
-    return out
+            _add_into(out, poly_derive(a, beta, beta), coeff)
+    return PolySymbol._trusted(a.d, out)
 
 
 def transpose_terms(a: PolySymbol, tau: float) -> PolySymbol:
@@ -539,7 +566,7 @@ def compose_terms(a: PolySymbol, b: PolySymbol) -> PolySymbol:
     sum."""
     if a.d != b.d:
         raise UwqError("dimension mismatch")
-    out = PolySymbol.zero(a.d)
+    out: Dict = {}
     caps = tuple(map(min, _degree_box(a)[0], _degree_box(b)[1]))
     zero = (0,) * a.d
     max_order = min(a.xi_degree(), b.x_degree())
@@ -549,8 +576,8 @@ def compose_terms(a: PolySymbol, b: PolySymbol) -> PolySymbol:
                 continue
             da = poly_derive(a, alpha, None)
             db = poly_derive(b, None, alpha) * (-1j) ** m   # D_x = -i d_x
-            out = out + (da * db) * (1.0 / multi_factorial(alpha))
-    return out
+            _add_into(out, da * db, 1.0 / multi_factorial(alpha))
+    return PolySymbol._trusted(a.d, out)
 
 
 @dataclass(frozen=True)
@@ -587,7 +614,10 @@ def gamma_norm_estimate(a: PolySymbol, params: ClassParams, box: float,
     raises (enlarge the weight truncation)."""
     d = a.d
     ax = np.linspace(-box, box, points_per_axis)
-    mesh = np.meshgrid(*([ax] * (2 * d)), indexing="ij")
+    # an open mesh: the derivatives raise the points_per_axis coordinates
+    # to powers, not every mesh point, and the broadcast products round as
+    # on the full mesh
+    mesh = np.meshgrid(*([ax] * (2 * d)), indexing="ij", sparse=True)
     xs, ks = tuple(mesh[:d]), tuple(mesh[d:])
     jap = np.sqrt(1.0 + sum(m**2 for m in mesh))
     xnorm = np.sqrt(sum(m**2 for m in xs))

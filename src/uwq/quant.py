@@ -163,12 +163,11 @@ def _class_index(n: int, d: int, whole: np.ndarray, steps) -> np.ndarray:
     return functools.reduce(np.add, parts).reshape(n**d, n**d)
 
 
-def _filter_classes(B: np.ndarray, filters: np.ndarray, cols: np.ndarray) -> None:
+def _filter_classes(B: np.ndarray, F: np.ndarray) -> None:
     """Filter every class of the (row, class) table B along its row axes,
     in place and one axis at a time, the last first: forward FFT, multiply
-    class c by ``filters[:, cols[c]]`` (rows in DFT order), inverse FFT."""
+    class c by ``F[:, c]`` (rows in DFT order), inverse FFT."""
     d, n = B.ndim // 2, B.shape[0]
-    F = np.take(filters, cols, axis=1)  # filters[:, cols] is ~5x slower for n x n filters
     for i in reversed(range(d)):
         shape = [1] * (2 * d)
         shape[i] = shape[d + i] = n
@@ -264,7 +263,14 @@ def _kernel_from_poly(a: PolySymbol, tv: float, axis: AxisGrid) -> KernelMatrix:
             if b:
                 if i not in mids:
                     mids[i] = (1.0 - tv) * rows[i][:, None] + tv * rows[i][None, :]
-                G *= mids[i] if b == 1 else mids[i] ** b
+                # m^b as the product m m ... m: numpy's float ** leaves its
+                # vector loop for negative bases, several times slower on
+                # the signed midpoints.  m m is what m**2 computes, and on
+                # dyadic grids the products are exact, equal to the powers
+                pw = mids[i]
+                for _ in range(b - 1):
+                    pw = pw * mids[i]
+                G *= pw
         K += G
     return KernelMatrix(axis, K)
 
@@ -294,7 +300,8 @@ def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
         k = np.fft.fftfreq(n, 1.0 / n)
         spectra = np.exp(2j * math.pi / (q * n) * np.outer(k, np.arange(q)))
         spectra[n // 2] = np.cos(math.pi / q * np.arange(q))
-        _filter_classes(B, spectra, res)
+        # spectra[:, res] is ~5x slower than np.take for n x n filters
+        _filter_classes(B, np.take(spectra, res, axis=1))
     idx = _class_index(n, d, whole, np.array(B.strides) // B.itemsize)
     return KernelMatrix(axis, np.take(B, idx))
 
@@ -496,12 +503,16 @@ def anti_wick_matrix(a, axis: AxisGrid = None) -> OperatorMatrix:
     g = window_translates(axis)[n // 2].copy()
     z = np.arange(n)
     # per axis h[z, c] = dx G0(z) G0(z-c): the dx^{2d} quadrature weight
-    # times the 1/dx^d of C leaves one dx per axis.  At d = 1 its DFT is as
-    # large as M: built before C and freed before the gather
-    hf = np.fft.fft(axis.dx * g[:, None] * g[(z[:, None] - z[None, :]) % n], axis=0)
+    # times the 1/dx^d of C leaves one dx per axis.  Built as its transpose
+    # h[c, z], so the DFT over z runs along the contiguous axis.  At d = 1
+    # that DFT is as large as M: built before C and freed before the gather
+    hf = np.fft.fft(axis.dx * g[None, :] * g[(z[None, :] - z[:, None]) % n], axis=1)
     xi_axes = tuple(range(d, 2 * d))
-    R = np.fft.ifftn(np.fft.ifftshift(a.values, axes=xi_axes), axes=xi_axes)
-    _filter_classes(R, hf, z)
+    # C transformed in place on its shifted copy, so no second table of
+    # that size sits beside the window-pair DFT
+    R = np.fft.ifftshift(a.values, axes=xi_axes)
+    np.fft.ifftn(R, axes=xi_axes, out=R)
+    _filter_classes(R, hf.T)
     del hf
     idx = _class_index(n, d, np.zeros(n, dtype=np.intp), np.array(R.strides) // R.itemsize)
     return OperatorMatrix(axis, np.take(R, idx))

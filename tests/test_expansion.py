@@ -6,7 +6,13 @@ import pytest
 from uwq.errors import UwqError
 from uwq.expansion import (
     ClassParams,
+    _capped_compositions,
+    _degree_box,
+    _even_pairs,
+    _finite_tau,
     _heat_slice,
+    _survives,
+    InverseAwResult,
     PolySymbol,
     aw_to_weyl_terms,
     compose_terms,
@@ -23,7 +29,7 @@ from uwq.expansion import (
     tau_change_terms,
     transpose_terms,
 )
-from uwq.weights import WeightSequence
+from uwq.weights import WeightSequence, assoc_fn
 
 X = PolySymbol.x()
 XI = PolySymbol.xi()
@@ -461,5 +467,216 @@ class TestHeatSlicePruning:
                     ex.compose_terms(a, b)
         for a in polys[:2]:
             ex.gamma_norm_estimate(a, params, 10.0, points_per_axis=5)
-        assert len(calls) > 500
+        # the in-place sums take every derivative from poly_derive, as the
+        # reference sums below do
+        assert len(calls) == 948
         assert zeros == []
+
+
+# The five calculus sums in the form that rebuilds the running total for
+# every term, ``out = out + poly_derive(...) * s``: the references the
+# in-place sums of ``uwq.expansion`` must reproduce bitwise, key order and
+# dropped zeros included.
+
+def reference_heat_slice(p, l):
+    out = PolySymbol.zero(p.d)
+    for alpha, beta in _even_pairs(l, *_degree_box(p)):
+        if _survives(p, alpha, beta):
+            c = moment_coeff(alpha, beta, p.d)
+            dp = poly_derive(p, alpha, beta)
+            out = out + dp * (c / (multi_factorial(alpha) * multi_factorial(beta)))
+    return out
+
+
+def reference_heat_quarter(a, sign=+1):
+    d = a.d
+    total = PolySymbol.zero(d)
+    term = a
+    k = 0
+    while not term.is_zero():
+        total = total + term
+        k += 1
+        lap = PolySymbol.zero(d)
+        kcap, xcap = _degree_box(term)
+        for i in range(d):
+            ax = tuple(2 * (j == i) for j in range(d))
+            if xcap[i] >= 2:
+                lap = lap + poly_derive(term, None, ax)
+            if kcap[i] >= 2:
+                lap = lap + poly_derive(term, ax, None)
+        term = lap * (sign / (4.0 * k))
+    return total
+
+
+def reference_inverse_aw_recursion(b):
+    K = J = max(0, (b.degree() + 1) // 2)
+    primed = {(0, 0): b}
+    for k in range(1, K + 1):
+        primed[(k, 0)] = PolySymbol.zero(b.d)
+    for j in range(1, J + 1):
+        for k in range(0, j):
+            primed[(k, j)] = PolySymbol.zero(b.d)
+        for k in range(j, K + 1):
+            acc = PolySymbol.zero(b.d)
+            for l in range(1, k - j + 2):
+                prev = primed.get((k - l, j - 1))
+                if prev is None or prev.is_zero():
+                    continue
+                acc = acc + reference_heat_slice(prev, l)
+            primed[(k, j)] = acc
+    bj = [sum((primed[(k, j)] for k in range(j, K + 1)), start=PolySymbol.zero(b.d))
+          for j in range(0, J + 1)]
+    a = PolySymbol.zero(b.d)
+    for j, term in enumerate(bj):
+        a = a + term * ((-1.0) ** j)
+    return InverseAwResult(primed=primed, bj=bj, a=a)
+
+
+def reference_tau_change_terms(a, tau1, tau):
+    t = _finite_tau(tau1) - _finite_tau(tau)
+    out = PolySymbol.zero(a.d)
+    caps = tuple(map(min, *_degree_box(a)))
+    for m in range(0, max(0, min(a.x_degree(), a.xi_degree())) + 1):
+        for beta in _capped_compositions(m, caps):
+            if not _survives(a, beta, beta):
+                continue
+            dp = poly_derive(a, beta, beta)
+            coeff = (t**m if m else 1.0) * (-1j) ** m / multi_factorial(beta)
+            out = out + dp * coeff
+    return out
+
+
+def reference_compose_terms(a, b):
+    out = PolySymbol.zero(a.d)
+    caps = tuple(map(min, _degree_box(a)[0], _degree_box(b)[1]))
+    zero = (0,) * a.d
+    for m in range(0, max(0, min(a.xi_degree(), b.x_degree())) + 1):
+        for alpha in _capped_compositions(m, caps):
+            if not (_survives(a, alpha, zero) and _survives(b, zero, alpha)):
+                continue
+            da = poly_derive(a, alpha, None)
+            db = poly_derive(b, None, alpha) * (-1j) ** m
+            out = out + (da * db) * (1.0 / multi_factorial(alpha))
+    return out
+
+
+def assert_bitwise(got, want):
+    """Equal keys in equal order and equal coefficients bit for bit."""
+    assert got.d == want.d
+    assert list(got.terms) == list(want.terms)
+    assert [(c.real.hex(), c.imag.hex()) for c in got.terms.values()] == \
+        [(c.real.hex(), c.imag.hex()) for c in want.terms.values()]
+
+
+def assert_sums_match_references(a, b=None, taus=(0.0, 1.0)):
+    """Every in-place sum on a (and b) against its reference form."""
+    for l in range(0, a.degree() // 2 + 2):
+        assert_bitwise(_heat_slice(a, l), reference_heat_slice(a, l))
+    for sign in (+1, -1):
+        assert_bitwise(heat_quarter(a, sign), reference_heat_quarter(a, sign))
+    got, want = inverse_aw_recursion(a), reference_inverse_aw_recursion(a)
+    assert list(got.primed) == list(want.primed)
+    for key in want.primed:
+        assert_bitwise(got.primed[key], want.primed[key])
+    for g, w in zip(got.bj, want.bj, strict=True):
+        assert_bitwise(g, w)
+    assert_bitwise(got.a, want.a)
+    assert_bitwise(tau_change_terms(a, *taus), reference_tau_change_terms(a, *taus))
+    b = a if b is None else b
+    assert_bitwise(compose_terms(a, b), reference_compose_terms(a, b))
+    assert_bitwise(compose_terms(b, a), reference_compose_terms(b, a))
+
+
+# Symbols on which a running sum cancels a key to exactly 0 and a later
+# term puts it back, at the end of the key order.  The first two list the
+# constant first, so only a key that left the sum comes out last.
+X4 = PolySymbol(1, {((0,), (0,)): 1.5, ((4,), (0,)): 1.0, ((2,), (0,)): -3.0})
+TAU_CANCEL = PolySymbol(1, {((0,), (0,)): -4.0, ((2,), (2,)): 1.0, ((1,), (1,)): 4j})
+COMPOSE_CANCEL = (PolySymbol(1, {((0,), (2,)): 1.0, ((0,), (1,)): 1.0, ((0,), (0,)): 1.0}),
+                  PolySymbol(1, {((2,), (0,)): 1.0, ((1,), (0,)): 1.0, ((0,), (0,)): 1j}))
+SLICE_CANCEL = PolySymbol(2, {((2, 0), (0, 0)): 1.0, ((0, 2), (0, 0)): -1.0,
+                              ((0, 0), (2, 0)): 1.0, ((1, 0), (0, 0)): 2.0})
+
+
+class TestInPlaceSums:
+    def test_cancelled_key_goes_back_at_the_end(self):
+        # x^4 - 3x^2 + 1.5: the first heat term 3x^2 - 1.5 cancels x^2 and
+        # the constant, the second puts the constant 0.75 back
+        smoothed = heat_quarter(X4, +1)
+        assert list(smoothed.terms) == [((4,), (0,)), ((0,), (0,))]
+        assert smoothed.terms[((0,), (0,))] == 0.75
+        # xi^2 x^2 + 4i x xi - 4 from tau 1 to 0: the first order cancels
+        # x xi and the constant, the second order adds -2
+        changed = tau_change_terms(TAU_CANCEL, 1.0, 0.0)
+        assert list(changed.terms) == [((2,), (2,)), ((0,), (0,))]
+        assert changed.terms[((0,), (0,))] == -2.0
+        # (xi^2 + xi + 1)(x^2 + x + i): the first-order Leibniz term -i
+        # cancels the constant i, the second-order term adds -2
+        composed = compose_terms(*COMPOSE_CANCEL)
+        assert list(composed.terms)[-1] == ((0,), (0,))
+        assert composed.terms[((0,), (0,))] == -2.0
+        # d=2 slice of order 1: the x_2 and x_1 pairs cancel the constant,
+        # the xi_1 pair puts it back
+        assert _heat_slice(SLICE_CANCEL, 1).terms == {((0, 0), (0, 0)): 0.5}
+
+    @pytest.mark.parametrize("a, b", [
+        (X4, None), (TAU_CANCEL, X4), COMPOSE_CANCEL, (SLICE_CANCEL, None),
+        *[(p, None) for p in monomials_1d(5)],
+        *zip(random_polys_2d(11), random_polys_2d(12)),
+        (PolySymbol.zero(2), None),
+    ], ids=repr)
+    def test_match_the_reference_sums_bitwise(self, a, b):
+        if b is not None and b.d != a.d:
+            b = None
+        assert_sums_match_references(a, b, taus=(0.25, 0.75))
+        assert_sums_match_references(a, b, taus=(1.0, 0.0))
+
+
+def reference_gamma_norm_estimate(a, params, box, points_per_axis=121):
+    """``gamma_norm_estimate`` on the full mesh, every point raised to its
+    powers."""
+    d = a.d
+    ax = np.linspace(-box, box, points_per_axis)
+    mesh = np.meshgrid(*([ax] * (2 * d)), indexing="ij")
+    xs, ks = tuple(mesh[:d]), tuple(mesh[d:])
+    jap = np.sqrt(1.0 + sum(m**2 for m in mesh))
+    xnorm = np.sqrt(sum(m**2 for m in xs))
+    knorm = np.sqrt(sum(m**2 for m in ks))
+
+    def m_of(r):
+        out = np.zeros_like(r)
+        positive = r > 0.0
+        out[positive] = assoc_fn(params.weight, params.m * r[positive]).value
+        return out
+
+    damp = np.exp(-m_of(knorm) - m_of(xnorm))
+    kcap, xcap = _degree_box(a)
+    best = 0.0
+    for tot_a in range(0, a.xi_degree() + 1):
+        for alpha in _capped_compositions(tot_a, kcap):
+            for tot_b in range(0, a.x_degree() + 1):
+                for beta in _capped_compositions(tot_b, xcap):
+                    if not _survives(a, alpha, beta):
+                        continue
+                    vals = np.abs(poly_derive(a, alpha, beta).evaluate(xs, ks))
+                    order = tot_a + tot_b
+                    weight = (jap ** (params.rho * order) * damp
+                              / (params.h**order
+                                 * math.exp(params.log_a(tot_a) + params.log_a(tot_b))))
+                    best = max(best, float(np.max(vals * weight)))
+    return best
+
+
+class TestGammaNormOpenMesh:
+    @pytest.mark.parametrize("a, points", [
+        (PolySymbol(1, {((3,), (1,)): 0.7, ((0,), (5,)): -1.2j, ((1,), (0,)): 2.0}), 121),
+        (PolySymbol(1, {((5,), (3,)): 1.0 + 1j, ((3,), (0,)): 0.5, ((0,), (0,)): 1.0}), 121),
+        (PolySymbol(1, {((4,), (2,)): 0.9, ((2,), (4,)): 1.1, ((3,), (0,)): 0.8}), 60),
+        (PolySymbol(2, {((3, 1), (0, 3)): 0.5, ((0, 0), (1, 0)): 1.0, ((1, 0), (0, 0)): -2.0}),
+         11),
+    ], ids=repr)
+    def test_bitwise_the_full_mesh(self, a, points):
+        params = ClassParams(rho=0.75, h=1.5, m=1.0, weight=WeightSequence.gevrey(2.0))
+        got = gamma_norm_estimate(a, params, 10.0, points_per_axis=points)
+        want = reference_gamma_norm_estimate(a, params, 10.0, points_per_axis=points)
+        assert got.hex() == want.hex()

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_expansion import assert_sums_match_references  # noqa: E402
 from uwq.expansion import (  # noqa: E402
     PolySymbol,
     aw_to_weyl_terms,
@@ -106,3 +107,43 @@ def test_algebra_results_are_valid_symbols(data, d, tau, c, order):
                inverse_aw_recursion(a).a, *aw_to_weyl_terms(a).terms]
     for r in results:
         assert_valid_symbol(r, d)
+
+
+# Quarter-integer coefficients and taus keep the calculus exact, so its
+# running sums meet exact zeros.
+dyadic = st.builds(complex, st.integers(-8, 8).map(lambda k: k / 4),
+                   st.integers(-8, 8).map(lambda k: k / 4))
+exact_taus = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def cancelling(draw, d):
+    """p minus the first term of a heat flow or a tau-change of p, so that
+    the sum over a's own terms cancels those keys to exactly 0 and the
+    next order puts some of them back; in reverse key order half the time,
+    so that a cancelled key comes back behind keys it used to precede."""
+    exponents = st.tuples(*[st.integers(0, MAX_DEGREE)] * (2 * d))
+    terms = draw(st.dictionaries(exponents, dyadic, min_size=1, max_size=6))
+    p = PolySymbol(d, {(e[:d], e[d:]): c for e, c in terms.items()})
+    first = PolySymbol.zero(d)
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    if draw(st.booleans()):
+        for e in unit:
+            two = tuple(2 * v for v in e)
+            first = first + poly_derive(p, two, None) + poly_derive(p, None, two)
+        a = p - first * 0.25
+    else:
+        for e in unit:
+            first = first + poly_derive(p, e, e)
+        a = p - first * (0.5 * -1j)
+    if draw(st.booleans()):
+        a = PolySymbol(d, dict(reversed(a.terms.items())))
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=dims, t1=st.one_of(exact_taus, taus), t2=exact_taus)
+def test_in_place_sums_match_the_reference_sums(data, d, t1, t2):
+    symbols = st.one_of(polys(d), cancelling(d))
+    a, b = data.draw(symbols), data.draw(symbols)
+    assert_sums_match_references(a, b, taus=(t1, t2))

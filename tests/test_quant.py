@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -19,6 +20,8 @@ from uwq.gaussconv import SeparableSymbol
 from uwq.grid import AxisGrid, FunctionGrid, PhaseFunctionGrid, gaussian_window, inner
 from uwq.quant import (
     KernelMatrix,
+    _axis_indices,
+    _class_index,
     _dirichlet_1d,
     anti_wick_direct,
     anti_wick_matrix,
@@ -116,6 +119,28 @@ def per_term_kernel(a, tau, axis):
         for i, al in enumerate(ke):
             G = G * _dirichlet_1d(axis, al)[diffs[i]]
         K += c * W * G
+    return K
+
+
+def power_kernel(a, tau, axis):
+    """The polynomial kernel assembled as ``kernel_from_symbol`` does, with
+    the midpoint powers taken by numpy's ``**``."""
+    tables = {}
+    for (xe, ke), c in a.terms.items():
+        T = c * functools.reduce(np.multiply.outer, (_dirichlet_1d(axis, al) for al in ke))
+        tables[xe] = tables[xe] + T if xe in tables else T
+    rows = axis.points()[_axis_indices(axis)]
+    d, n = axis.d, axis.n
+    steps = [0] * d + [n ** (d - 1 - i) for i in range(d)]
+    idx = _class_index(n, d, np.zeros(n, dtype=np.intp), steps)
+    K = np.zeros((axis.size, axis.size), dtype=complex)
+    for xe, T in tables.items():
+        G = np.take(T, idx)
+        for i, b in enumerate(xe):
+            if b:
+                mids = (1.0 - tau) * rows[i][:, None] + tau * rows[i][None, :]
+                G *= mids if b == 1 else mids**b
+        K += G
     return K
 
 
@@ -293,6 +318,31 @@ class TestKernelAssembly:
         K = kernel_from_symbol(a, tau, ax).entries
         ref = per_term_kernel(a, tau, ax)
         assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @staticmethod
+    def odd_power_cases(L):
+        # x-exponents up to 5, odd ones >= 3 among them, on both axes at d=2
+        X2, XI2 = PolySymbol.x(0, 2), PolySymbol.xi(0, 2)
+        Y2, ETA2 = PolySymbol.x(1, 2), PolySymbol.xi(1, 2)
+        one_d = (X * X * X * XI + (0.5 - 1.0j) * X * X * X * X * X + 2.0 * X * X * XI * XI
+                 - X * X * X * X * XI * XI * XI + 0.75 * X + 1.0)
+        two_d = (X2 * X2 * X2 * ETA2 + (1.0 + 0.5j) * Y2 * Y2 * Y2 * Y2 * Y2 * XI2
+                 + X2 * X2 * X2 * Y2 * Y2 * Y2 + 0.5 * X2 * X2 * XI2 * XI2 - 2.0)
+        return [(one_d, AxisGrid(64, L, 1)), (two_d, AxisGrid(8, L / 4, 2))]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0])
+    def test_poly_powers_bitwise_on_dyadic_grids(self, case, tau):
+        # midpoints on the dyadic grids are short dyadic numbers, so their
+        # products are exact and equal the powers bit for bit
+        a, ax = self.odd_power_cases(8.0)[case]
+        assert np.array_equal(kernel_from_symbol(a, tau, ax).entries, power_kernel(a, tau, ax))
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_poly_powers_round_like_pow(self, case):
+        a, ax = self.odd_power_cases(10.0)[case]
+        K, ref = kernel_from_symbol(a, 0.3, ax).entries, power_kernel(a, 0.3, ax)
+        assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n, d", [(2, 1), (4, 1), (64, 1), (4, 2), (8, 2)])
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.25, 1 / 3, 2 / 7, 1 / 64, -0.5, 1.5])
@@ -671,13 +721,13 @@ class TestAntiWick:
             assert np.max(np.abs(v1 - v2)) < 1e-11 * np.max(np.abs(v2))
 
     def test_matrix_peak_memory(self):
-        # at d=1 the window-pair table is as large as M: it and its column
-        # copy sit beside the class table in the filter, then the index and M
-        # beside the class table in the gather (3.0x).  The first call fills
-        # numpy's FFT plan cache, so it goes untraced
+        # at d=1 the window-pair DFT is as large as M: it sits beside the
+        # class table in the filter (2x), then the index and M beside the
+        # class table in the gather (2.6x with the small arrays).  The first
+        # call fills numpy's FFT plan cache, so it goes untraced
         a = random_symbol(AxisGrid(128, 3.0, 1), 37)
         anti_wick_matrix(a)
-        assert traced_peak_bytes(lambda: anti_wick_matrix(a)) <= 4.5 * 16 * a.xaxis.size**2
+        assert traced_peak_bytes(lambda: anti_wick_matrix(a)) <= 3.0 * 16 * a.xaxis.size**2
 
     def test_overflowing_matrix_raises(self, axis):
         # every entry is finite; the class sums over xi are not
