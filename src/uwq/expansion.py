@@ -26,7 +26,6 @@ leaves the total, so a later term puts it back at the end.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -365,10 +364,9 @@ def moment_coeff(alpha, beta, d: Optional[int] = None) -> float:
     return _moment(_as_midx(alpha, d), _as_midx(beta, d))
 
 
-@functools.cache
 def _moment(alpha: MultiIndex, beta: MultiIndex) -> float:
-    """``moment_coeff`` on valid multi-indices, memoized: the heat slices
-    ask for the same few pairs again and again."""
+    """``moment_coeff`` on valid multi-indices: the heat slices ask for one
+    moment per derivative pair and need not validate both indices again."""
     out = 1.0
     for a in alpha + beta:
         out *= gaussian_moment(a)

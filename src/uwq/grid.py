@@ -303,28 +303,20 @@ def _parse_header(line: str, kind) -> AxisGrid:
 def _load_grid(path, kind):
     """The one grid-file reader.  Checks the header against ``kind`` and the
     rows against the array of shape ``_CELLS[kind](axis)``, which they must
-    fill exactly once; returns the axis and that array.
-
-    The body is read by passing ``np.loadtxt`` the path, not the open
-    handle: given a path it parses the file in chunks in C, given a handle
-    it iterates the lines in Python.  numpy opens a path ending in .gz,
-    .bz2, .xz or .lzma through that decompressor, so a grid file with such
-    a name does not load (``OSError``)."""
+    fill exactly once; returns the axis and that array."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline()
         except UnicodeDecodeError as exc:
             raise UwqError(f"{path}: {exc}") from None
-    axis = _parse_header(header, kind)
-    try:
-        with warnings.catch_warnings():
-            # an empty body is reported below as a wrong row count
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                              skiprows=1, encoding="utf-8")
-    except ValueError as exc:
-        # a UnicodeDecodeError in the body is a ValueError too
-        raise UwqError(f"malformed grid row: {exc}") from None
+        axis = _parse_header(header, kind)
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as a wrong row count
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise UwqError(f"malformed grid row: {exc}") from None
     cells = _CELLS[kind](axis)
     size = math.prod(cells)
     if data.shape[0] != size:
