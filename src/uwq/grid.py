@@ -44,11 +44,34 @@ template by a mask looked up by layout (fixed notation for -4 <= k < 17,
 else d.ddde+XX with 2 or 3 exponent digits), sign and last nonzero digit,
 which drops trailing zeros and a bare point; the digits and index columns
 come from a table of 4-digit strings.
+
+The reader parses the body with numpy too (``uwq.gridtext``), 256 KiB of
+whole lines at a time, so the body is never held whole.  The index
+columns are integers of 1-8 digits; the last two take the writer's
+grammar ``-?digits[.digits][e(+|-)dd[d]]`` in at most 24 bytes.  Each
+field's bytes are gathered into three 64-bit words and read 8 digits to a
+word (SWAR), which gives it as m 10^q with an exact integer m < 10^19.
+m, split into the double nearest it and the exact rest, times the
+writer's two-double table entry for 10^q 2^-t is a double-double by
+Dekker's TwoProduct; it rounds to r with an exact residual.  r is the
+double nearest m 10^q (Clinger, PLDI 1990; Lemire, Softw. Pract. Exp. 51,
+2021) when the residual plus the product's error bound, 2^-102 of the
+product, stays below half the gap from r to its neighbour on the
+residual's side (half as wide below a power of two); the derivation is in
+``uwq.gridtext``.  A line with a field outside the grammar, not certified,
+subnormal or beyond the float range goes through ``np.loadtxt`` as before,
+and so does a block with other separators ('\r', spaces) or whose first
+line has no comma (a blank line).  The writer's 17 digits lie at least
+0.05 units in the last place from a midpoint, so its text needs
+``np.loadtxt`` only for subnormals, NaN and the infinities, and any file
+reads, or is rejected, as ``np.loadtxt`` reads it.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -253,6 +276,9 @@ _CELLS = {
 # rows formatted at once: the block's temporaries stay near 1 MB whatever
 # the file's size, and larger blocks are not faster
 _BLOCK_ROWS = 2048
+# body bytes the reader parses at once: its temporaries stay near 4 MB
+# whatever the file's size, and blocks of 2^17-2^19 bytes read alike
+_BODY_BYTES = 1 << 18
 
 
 def save_grid(axis: AxisGrid, values: np.ndarray, path, kind=None) -> None:
@@ -300,29 +326,90 @@ def _parse_header(line: str, kind) -> AxisGrid:
     return AxisGrid(n, L, d)
 
 
+def _body_blocks(fh, carry: bytes, lead: bytes):
+    """The rest of the open binary file ``fh`` after ``carry``, as blocks of
+    whole lines read ``_BODY_BYTES`` at a time, each after ``lead`` and
+    ending in a newline."""
+    parts = [lead, carry]
+    while chunk := fh.read(_BODY_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            parts.append(memoryview(chunk)[:cut])
+            yield b"".join(parts)
+            parts = [lead, chunk[cut:]]
+        else:
+            parts.append(chunk)
+    if any(parts[1:]):
+        yield b"".join(parts + [b"\n"])
+
+
+def _loadtxt_rows(lines) -> np.ndarray:
+    """``lines`` as ``np.loadtxt`` reads them from a text-mode file: the
+    reader's fallback for rows its parser does not certify."""
+    with warnings.catch_warnings():
+        # a block of blank lines holds no rows; an empty body is reported
+        # as a wrong row count
+        warnings.simplefilter("ignore", UserWarning)
+        text = io.TextIOWrapper(io.BytesIO(lines), encoding="utf-8")
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+
+
+def _read_rows(fh, carry: bytes, size: int, width: int):
+    """The rows of the body as an array of ``size`` rows of ``width``
+    columns, which is filled only if the body has that shape; and the
+    body's row and column counts."""
+    # imported here, on the first read as on the first write
+    from . import gridtext
+
+    # a row takes at least 2 bytes a column, so the file's size bounds the
+    # rows, whatever the header claims (a pipe reports 0 and grows below)
+    most = os.fstat(fh.fileno()).st_size // (2 * width)
+    data = np.empty((min(size, max(most, 1)), width))
+    rows, cols = 0, None
+    for text in _body_blocks(fh, carry, gridtext.LEAD):
+        try:
+            part = gridtext.rows_values(text, _loadtxt_rows)
+        except ValueError as exc:
+            raise UwqError(f"malformed grid row: {exc}") from None
+        if not len(part):
+            continue
+        if cols is None:
+            cols = part.shape[1]
+        elif part.shape[1] != cols:
+            raise UwqError(f"malformed grid row: rows of {cols} and of {part.shape[1]} columns")
+        end = rows + len(part)
+        if cols == width and end <= size:
+            if end > len(data):
+                # grown by doubling, so the copies stay below one array
+                grown = np.empty((min(size, max(end, 2 * len(data))), width))
+                grown[:rows] = data[:rows]
+                data = grown
+            data[rows:end] = part
+        rows = end
+    return data, rows, cols
+
+
 def _load_grid(path, kind):
     """The one grid-file reader.  Checks the header against ``kind`` and the
     rows against the array of shape ``_CELLS[kind](axis)``, which they must
     fill exactly once; returns the axis and that array."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        # a text-mode read ends the header at a lone '\r' too
+        line, cr, carry = line.partition(b"\r")
+        carry = carry.removeprefix(b"\n")
         try:
-            header = fh.readline()
+            header = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise UwqError(f"{path}: {exc}") from None
         axis = _parse_header(header, kind)
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as a wrong row count
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise UwqError(f"malformed grid row: {exc}") from None
-    cells = _CELLS[kind](axis)
-    size = math.prod(cells)
-    if data.shape[0] != size:
-        raise UwqError(f"grid file has {data.shape[0]} rows, its header needs {size}")
-    if data.shape[1] != len(cells) + 2:
-        raise UwqError(f"grid rows need {len(cells) + 2} columns, got {data.shape[1]}")
+        cells = _CELLS[kind](axis)
+        size = math.prod(cells)
+        data, rows, cols = _read_rows(fh, carry, size, len(cells) + 2)
+    if rows != size:
+        raise UwqError(f"grid file has {rows} rows, its header needs {size}")
+    if cols != len(cells) + 2:
+        raise UwqError(f"grid rows need {len(cells) + 2} columns, got {cols}")
     index = data[:, :-2]
     if not np.all(index == np.floor(index)):
         raise UwqError("grid index is not an integer")
@@ -333,6 +420,7 @@ def _load_grid(path, kind):
     seen[pos] = True
     if not seen.all():
         raise UwqError("grid rows do not cover every cell exactly once")
+    del seen  # off the peak, which the values below set beside the rows
     values = np.empty(size, dtype=complex)
     values.real[pos] = data[:, -2]
     values.imag[pos] = data[:, -1]

@@ -540,9 +540,21 @@ def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:
     for _ in range(d):
         kern = np.multiply.outer(kern, g1k)
     axes = tuple(range(2 * d))
-    kern0 = np.fft.ifftshift(kern, axes=axes)
-    conv = np.fft.ifftn(np.fft.fftn(a.values, axes=axes) * np.fft.fftn(kern0, axes=axes), axes=axes)
+    khat = np.fft.fftn(np.fft.ifftshift(kern, axes=axes), axes=axes)
+    # the unnormalised transforms reach N^2 max|a| khat[0] (the kernel is
+    # positive, so its transform peaks at 0), where the smoothing itself
+    # stays below max|a|: samples that large are scaled by an exact 2^-s
+    # first, so the sums stay below 2^1000, and back after
+    values, s = a.values, 0
+    top = float(np.max(np.abs(values)))
+    if math.isfinite(top) and top > 0:
+        s = max(0, math.ceil(math.log2(values.size * abs(khat.flat[0])) + math.log2(top) - 1000))
+        if s:
+            values = values * 2.0**-s
+    conv = np.fft.ifftn(np.fft.fftn(values, axes=axes) * khat, axes=axes)
     conv *= (axis.dx * axis.dxi) ** d
+    if s:
+        conv *= 2.0**s
     return PhaseFunctionGrid(axis, _finite(conv, "smoothed symbol"))
 
 

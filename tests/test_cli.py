@@ -475,6 +475,18 @@ def test_overflowing_operator_exits_2(tmp_path, capsys):
     assert not Path(f("aw.csv")).exists() and not Path(f("q.csv")).exists()
 
 
+def test_large_symbol_verifies_smoothing(tmp_path):
+    # N^2 max|a| passes the float64 range, the smoothing and both matrices
+    # do not
+    f = lambda name: str(tmp_path / name)  # noqa: E731
+    save_phase(PhaseFunctionGrid(AXIS, np.full((N, N), 1e306)), f("big.csv"))
+    with open(f("big.toml"), "w", encoding="utf-8") as fh:
+        fh.write(f'kind = "grid"\npath = "{f("big.csv")}"\n')
+    assert run(["antiwick", "--symbol", f("big.toml"), "--verify-smoothing", "--out", f("vs.txt")]) == 0
+    key, value = Path(f("vs.txt")).read_text().split()
+    assert key == "max_err" and math.isfinite(float(value))
+
+
 def test_osc_kernel_rejects_unresolved_band(files, capsys):
     # chi.csv has n=16, L=2.5: the band edge pi/dx = 10.05 lies inside the
     # support 2/delta = 40 of psi(0.05 xi)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from uwq import grid
 from uwq.cli import main
 from uwq.errors import UwqError
 from uwq.grid import (
@@ -245,6 +247,23 @@ class TestSerialization:
             "0,1,0\ninf,1,0\n",
             "0,1,0\n0,1,0\n",
             "# comment\n0,1,0\n",
+            # each a decimal the parser's grammar nearly takes
+            "0,1,0\n1,1.2.3,0\n",
+            "0,1,0\n1,1-2,0\n",
+            "0,1,0\n1,-,0\n",
+            "0,1,0\n1,.,0\n",
+            "0,1,0\n1,e+05,0\n",
+            "0,1,0\n1,1e,0\n",
+            "0,1,0\n1,--1,0\n",
+            "0,1,0\n1,1e+0x,0\n",
+            "0,1,0\n1,1_0,0\n",
+            "0,1,0\n1,,0\n",
+            "0,1,0\n1,1,0,\n",
+            "0,1,0\n1/2,1,0\n",
+            # a non-digit where a three-digit exponent's hundreds go
+            "0,1,0\n1,1e+.00,0\n",
+            "0,1,0\n1,1e+z00,0\n",
+            "0,1,0\n1,1e-z00,0\n",
         ]:
             assert_rejected(tmp_path, capsys, head + body, load_function, ["stft"])
 
@@ -416,6 +435,159 @@ class TestWriterBytes:
                 "g.save_grid(g.AxisGrid(2, 1.0), g.np.zeros(2), sys.argv[1]); "
                 "assert 'uwq.gridtext' in sys.modules")
         subprocess.run([sys.executable, "-c", code, str(tmp_path / "u.csv")], check=True)
+        # nor does a read until it parses the body
+        (tmp_path / "v.csv").write_text("# n=2 L=1 d=1\n0,1.5,0\n1,0,-2e-05\n")
+        code = ("import sys, uwq.grid as g; assert 'uwq.gridtext' not in sys.modules; "
+                "u = g.load_function(sys.argv[1]); assert 'uwq.gridtext' in sys.modules; "
+                "assert u.values.tolist() == [1.5, -2e-05j]")
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "v.csv")], check=True)
+
+
+def parsed_only(monkeypatch):
+    """Make the reader's fallback fail the test: every block must parse."""
+    def refuse(lines):
+        raise AssertionError(f"fallback for {bytes(lines[:60])!r}...")
+    monkeypatch.setattr(grid, "_loadtxt_rows", refuse)
+
+
+def loadtxt_reference(path):
+    """The values a grid file without a kind holds, as the reader built on
+    ``np.loadtxt`` of a text-mode file made them."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    values = np.empty(len(data), dtype=complex)
+    values.real[data[:, 0].astype(int)] = data[:, 1]
+    values.imag[data[:, 0].astype(int)] = data[:, 2]
+    return values
+
+
+def normal_doubles(xs):
+    return [x for x in xs if x == 0 or sys.float_info.min <= abs(x) < math.inf]
+
+
+class TestReader:
+    def test_writer_text_parses_exactly(self, tmp_path, monkeypatch):
+        # every finite double the writer prints that is zero or normal
+        # reads back bit for bit without the fallback
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2**64, 6000, dtype=np.uint64, endpoint=False)
+        xs = normal_doubles(edge_doubles() + TIES + [NEAR_TIE] + bits.view(np.float64).tolist())
+        xs += [-x for x in xs]
+        axis, values = padded([complex(x, y) for x, y in zip(xs, xs[1:] + xs[:1])])
+        path = tmp_path / "u.csv"
+        save_grid(axis, values, path)
+        parsed_only(monkeypatch)
+        assert hexes(load_function(path).values) == hexes(values)
+
+    @pytest.mark.parametrize("kind", ["phase", "operator"])
+    def test_index_columns(self, tmp_path, monkeypatch, kind):
+        ax = AxisGrid(32, 2.0, 1)
+        shape = _CELLS[kind](ax)
+        rng = np.random.default_rng(22)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        path = tmp_path / "g.csv"
+        save_grid(ax, values, path, kind)
+        parsed_only(monkeypatch)
+        assert hexes(_load_grid(path, kind)[1]) == hexes(values)
+
+    @pytest.mark.parametrize("body", [
+        "0,1E5,0\n1,2,0\n",
+        "0,+1,0\n1,2,0\n",
+        "0, 1.5,0\n1,2 ,0\n",
+        "0,.5,0\n1,5.,-.25\n",
+        "0,1234567890123456789012345,0\n1,0.1234567890123456789012345,0\n",
+        "0,1.5,-2\r\n1,2,0\r\n",
+        "0,1.5,-2\r1,2,0\r",
+        "0,1.5,-2\n1,2,0",
+        "0,nan,inf\n1,-inf,-nan\n",
+        "0,1e5,1e+5\n1,1e-0005,1e-5\n",
+        "0,1e-400,1e400\n1,5e-324,2.2250738585072011e-308\n",
+        "0,1,0\n\n1,2,0\n",
+        "0,0e-999,-0.0e+999\n1,00012,-0\n",
+        "0.0,1,0\n1e0,2,0\n",
+        "0,9007199254740993,0\n1,9007199254740993e-300,0\n",
+    ])
+    def test_noncanonical_text_reads_as_loadtxt(self, tmp_path, body):
+        # text the writer never makes reads exactly as np.loadtxt reads it
+        path = tmp_path / "u.csv"
+        path.write_bytes(("# n=2 L=1 d=1\n" + body).encode())
+        assert hexes(load_function(path).values) == hexes(loadtxt_reference(path))
+
+    def test_header_line_ends(self, tmp_path):
+        # a text-mode read ends the header at '\r\n' and at a lone '\r'
+        for text in ("# n=2 L=1 d=1\r\n0,1,0\r\n1,2,0\r\n", "# n=2 L=1 d=1\r0,1,0\r1,2,0\r"):
+            path = tmp_path / "u.csv"
+            path.write_bytes(text.encode())
+            assert load_function(path).values.tolist() == [1, 2]
+
+    def test_fallback_rows(self, tmp_path, monkeypatch):
+        # rows the parser hands on in the first and the last block and on
+        # both sides of a block edge, and a block whose line ends are not
+        # the grammar's; "nan" and "inf" print as long as "0.5", so the
+        # blocks of the all-0.5 file hold the same rows
+        monkeypatch.setattr(grid, "_BODY_BYTES", 512)
+        axis = AxisGrid(256, 3.0, 1)
+        path = tmp_path / "u.csv"
+        save_grid(axis, np.full(256, 0.5 + 0.5j), path)
+
+        def block_ends():
+            with open(path, "rb") as fh:
+                fh.readline()
+                return np.cumsum([text.count(b"\n") for text in grid._body_blocks(fh, b"", b"")])
+
+        ends = block_ends()
+        assert len(ends) > 5
+        taken = []
+
+        def loadtxt(lines):
+            taken.extend(int(line.split(b",")[0]) for line in bytes(lines).splitlines())
+            return np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=2)
+
+        monkeypatch.setattr(grid, "_loadtxt_rows", loadtxt)
+        rows = [0, ends[2] - 1, ends[2], 255]
+        for x in (math.nan, math.inf):
+            values = np.full(256, 0.5 + 0.5j)
+            values[rows] = complex(x, 0.5)
+            taken.clear()
+            save_grid(axis, values, path)
+            assert hexes(load_function(path).values) == hexes(values)
+            assert taken == rows
+        lines = path.read_bytes().split(b"\n")
+        lines[1 + ends[3]] += b"\r"  # the first row of block 4
+        path.write_bytes(b"\n".join(lines))
+        taken.clear()
+        assert hexes(load_function(path).values) == hexes(values)
+        assert taken == [*rows[:3], *range(ends[3], block_ends()[4]), 255]
+
+    def test_blank_lines_in_a_block_of_their_own(self, tmp_path, monkeypatch):
+        # np.loadtxt skips blank lines, also where a block holds nothing else
+        rows = "0,1.5,0\n1,2,-0.25\n"
+        monkeypatch.setattr(grid, "_BODY_BYTES", len(rows))
+        path = tmp_path / "u.csv"
+        for body in (rows + "\n", rows + "\n\n", "\n" * len(rows) + rows):
+            path.write_text("# n=2 L=1 d=1\n" + body)
+            with open(path, "rb") as fh:
+                fh.readline()
+                assert any(set(text) == {10} for text in grid._body_blocks(fh, b"", b""))
+            assert hexes(load_function(path).values) == hexes(loadtxt_reference(path))
+
+    def test_peak_memory(self, tmp_path):
+        # the body is read a block at a time: the peak is the checks' after
+        # the parse, as with np.loadtxt
+        ax = AxisGrid(512, 8.0, 1)
+        rng = np.random.default_rng(23)
+        a = PhaseFunctionGrid(ax, rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+        path = tmp_path / "a.csv"
+        save_phase(a, path)
+        tracemalloc.start()
+        try:
+            back = load_phase(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, a.values)
+        assert peak <= 12.3 * 2**20, peak
 
 
 class TestWriterRefuses:

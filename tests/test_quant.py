@@ -744,11 +744,24 @@ class TestGaussSmooth:
             gauss_smooth(X)
 
     def test_overflow_raises(self, axis):
-        # the matrix of this symbol is finite; its 2d-axis FFT sums are not
+        # samples whose FFT sums pass the float64 range smooth to about
+        # themselves; only a smoothing that is not finite raises
         a = PhaseFunctionGrid(axis, np.full((axis.n, axis.n), 1e306))
-        assert np.isfinite(anti_wick_matrix(a).entries).all()
+        assert np.allclose(gauss_smooth(a).values, 1e306, rtol=1e-6, atol=0)
+        values = a.values.copy()
+        values[3, 5] = np.inf
         with pytest.raises(OverflowDomainError, match="smoothed symbol overflows"):
-            gauss_smooth(a)
+            gauss_smooth(PhaseFunctionGrid(axis, values))
+
+    def test_ordinary_symbols_take_unscaled_sums(self, axis):
+        # the scaling is off below its threshold: the result is the plain
+        # FFT convolution, bit for bit
+        a = random_symbol(axis, 41)
+        kern = np.multiply.outer(np.exp(-axis.points()**2) / math.pi**0.5,
+                                 np.exp(-axis.dual().points()**2) / math.pi**0.5)
+        conv = np.fft.ifftn(np.fft.fftn(a.values) * np.fft.fftn(np.fft.ifftshift(kern)))
+        conv *= axis.dx * axis.dxi
+        assert np.array_equal(gauss_smooth(a).values, conv)
 
     def test_unit_mass(self, axis):
         out = gauss_smooth(sample_symbol(ONE, axis))
