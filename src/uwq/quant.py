@@ -469,10 +469,12 @@ def _sampled(a, axis: AxisGrid = None) -> PhaseFunctionGrid:
 
 @_quiet
 def anti_wick_direct(a, u: FunctionGrid) -> FunctionGrid:
-    """(2 pi)^{-d} V*(a V u), the STFT sandwich, for a symbol on u's grid."""
+    """(2 pi)^{-d} V*(a V u), the STFT sandwich, for a symbol on u's grid.
+    a V u is formed in the array of V u, so the phase-space array of the
+    STFT is the only one of its size."""
     a = _sampled(a, u.axis)
     V = stft(u)
-    prod = _finite(a.values * V.values, "a * Vu")
+    prod = _finite(np.multiply(a.values, V.values, out=V.values), "a * Vu")
     out = stft_adjoint(PhaseFunctionGrid(a.xaxis, prod))
     return FunctionGrid(u.axis, out.values / (2.0 * math.pi) ** u.axis.d)
 
@@ -525,6 +527,9 @@ def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:
 
     The convolution is periodic: symbols are treated as their periodized
     samples, so values within a unit-Gaussian reach of the box edge wrap.
+    Both transforms run in place, in the result's array and in the kernel
+    transform's, which is freed once used: two complex arrays of the
+    output's size are the peak.
     """
     if not isinstance(a, PhaseFunctionGrid):
         raise UwqError(f"expected a PhaseFunctionGrid, got {type(a).__name__}")
@@ -532,15 +537,17 @@ def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:
     d = axis.d
     xs = axis.points()
     ks = axis.dual().points()
-    g1x = np.exp(-xs**2) / math.pi**0.5
-    g1k = np.exp(-ks**2) / math.pi**0.5
+    # the kernel's factors in DFT order, so the last outer product writes
+    # the shifted kernel straight into the array its transform takes
+    g1x = np.fft.ifftshift(np.exp(-xs**2) / math.pi**0.5)
+    g1k = np.fft.ifftshift(np.exp(-ks**2) / math.pi**0.5)
     kern = np.ones((), dtype=float)
-    for _ in range(d):
-        kern = np.multiply.outer(kern, g1x)
-    for _ in range(d):
-        kern = np.multiply.outer(kern, g1k)
+    for g in (g1x,) * d + (g1k,) * (d - 1):
+        kern = np.multiply.outer(kern, g)
+    khat = np.multiply.outer(kern, g1k, out=np.empty(axis.shape * 2, complex))
+    del kern
     axes = tuple(range(2 * d))
-    khat = np.fft.fftn(np.fft.ifftshift(kern, axes=axes), axes=axes)
+    np.fft.fftn(khat, axes=axes, out=khat)
     # the unnormalised transforms reach N^2 max|a| khat[0] (the kernel is
     # positive, so its transform peaks at 0), where the smoothing itself
     # stays below max|a|: samples that large are scaled by an exact 2^-s
@@ -551,7 +558,10 @@ def gauss_smooth(a: PhaseFunctionGrid) -> PhaseFunctionGrid:
         s = max(0, math.ceil(math.log2(values.size * abs(khat.flat[0])) + math.log2(top) - 1000))
         if s:
             values = values * 2.0**-s
-    conv = np.fft.ifftn(np.fft.fftn(values, axes=axes) * khat, axes=axes)
+    conv = np.fft.fftn(values, axes=axes, out=np.empty(values.shape, complex))
+    conv *= khat
+    del khat
+    np.fft.ifftn(conv, axes=axes, out=conv)
     conv *= (axis.dx * axis.dxi) ** d
     if s:
         conv *= 2.0**s

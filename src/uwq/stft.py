@@ -15,11 +15,14 @@ bookkeeping folds into O(N) vectors, because for even n
 
 so u is rolled by n/2 and signed before the FFTs, the window table is
 built with its columns in that folded order, and the adjoint undoes the
-roll and the sign on its O(N) result.  In d = 2 the transform along the first axis does
-not depend on the second window centre; it runs on n^3 points, and one
-N^2-sized pass does the second axis along the contiguous last array axis.
-The adjoint mirrors this: one N^2-sized inverse FFT, then the y2 sum brings
-it down to n^3 points.  Each call holds at most two N^2-sized arrays.
+roll and the sign on its O(N) result.  In d = 2 the transform along the
+first axis does not depend on the second window centre; it runs on n^3
+points, and the second axis is windowed into the result's own array and
+transformed there, in place along the contiguous last array axis.  The
+adjoint mirrors this one y1 slab at a time: the inverse xi2 transform and
+the y2 sum bring each slab down to n^2 points of an n^3 table.  So the
+forward holds one N^2-sized array, its result, and the adjoint none beside
+its input.
 """
 
 from __future__ import annotations
@@ -69,9 +72,11 @@ def stft(u: FunctionGrid) -> PhaseFunctionGrid:
     if d == 1:
         spec = np.fft.fft(G * v, axis=-1)
     else:
-        # A[y1, k1, m2] does not depend on y2; V = fft_m2(G[y2, m2] A[y1, k1, m2])
+        # A[y1, k1, m2] does not depend on y2; V = fft_m2(G[y2, m2] A[y1, k1, m2]),
+        # windowed into the result's own array and transformed there
         A = np.fft.fft(G[:, :, None] * v, axis=1)
-        spec = np.fft.fft(A[:, None] * G[:, None, :], axis=-1)
+        spec = np.multiply(A[:, None], G[:, None, :], out=np.empty(axis.shape * 2, complex))
+        np.fft.fft(spec, axis=-1, out=spec)
     spec *= axis.dx**d
     return PhaseFunctionGrid(axis, spec)
 
@@ -83,13 +88,21 @@ def stft_adjoint(F: PhaseFunctionGrid) -> FunctionGrid:
     d = axis.d
     G = window_translates(axis)
     # (2 pi)^{-d} is part of inverse_fourier; dy^d (2 pi)^d remain
-    back = np.fft.ifft(F.values, axis=-1)
-    back /= axis.dx**d
     if d == 1:
+        back = np.fft.ifft(F.values, axis=-1)
+        back /= axis.dx**d
         out = np.einsum("ym,ym->m", G, back)
     else:
-        # contract y2 down to n^3 points, then the first axis at n^3
-        C = np.fft.ifft(np.einsum("bm,abkm->akm", G, back), axis=1)
+        # one y1 slab at a time: the inverse xi2 transform and the y2 sum
+        # bring it down to C[y1, k1, m2], then the first axis at n^3
+        n = axis.n
+        back = np.empty((n,) * 3, complex)
+        C = np.empty((n,) * 3, complex)
+        for y1 in range(n):
+            np.fft.ifft(F.values[y1], axis=-1, out=back)
+            back /= axis.dx**d
+            np.einsum("bm,bkm->km", G, back, out=C[y1])
+        np.fft.ifft(C, axis=1, out=C)
         out = np.einsum("am,amk->mk", G, C)
     out = (2.0 * math.pi) ** d * ((axis.dx**d) * out)
     return FunctionGrid(axis, np.fft.fftshift(_sign(axis) * out))

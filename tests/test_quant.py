@@ -720,6 +720,25 @@ class TestAntiWick:
             assert np.array_equal(v2, anti_wick_direct(sample_symbol(a, axis), u).values)
             assert np.max(np.abs(v1 - v2)) < 1e-11 * np.max(np.abs(v2))
 
+    def test_direct_peak_memory(self):
+        # a V u is formed in the array of V u, the one N^2-sized array
+        # (16 MiB at d=2, n=32); the adjoint adds n^3-sized tables
+        ax = AxisGrid(32, 8.0, 2)
+        a = random_symbol(ax, 38)
+        u = FunctionGrid(ax, a.values[:, :, 0, 0].copy())
+        anti_wick_direct(a, u)
+        assert traced_peak_bytes(lambda: anti_wick_direct(a, u)) <= 18 * 2**20
+
+    @pytest.mark.parametrize("n, d", [(64, 1), (8, 2)])
+    def test_direct_leaves_its_inputs(self, n, d):
+        ax = AxisGrid(n, 3.0, d)
+        a = random_symbol(ax, 39)
+        u = FunctionGrid(ax, random_symbol(ax, 40).values[(slice(None),) * d + (0,) * d].copy())
+        a0, u0 = a.values.copy(), u.values.copy()
+        anti_wick_direct(a, u)
+        assert np.array_equal(a.values.view(np.uint64), a0.view(np.uint64))
+        assert np.array_equal(u.values.view(np.uint64), u0.view(np.uint64))
+
     def test_matrix_peak_memory(self):
         # at d=1 the window-pair DFT is as large as M: it sits beside the
         # class table in the filter (2x), then the index and M beside the
@@ -762,6 +781,15 @@ class TestGaussSmooth:
         conv = np.fft.ifftn(np.fft.fftn(a.values) * np.fft.fftn(np.fft.ifftshift(kern)))
         conv *= axis.dx * axis.dxi
         assert np.array_equal(gauss_smooth(a).values, conv)
+
+    @pytest.mark.parametrize("n, d", [(512, 1), (16, 2)])
+    def test_peak_memory(self, n, d):
+        # the kernel transform and the result, both transformed in place,
+        # and |a| for the scaling test; the first call fills numpy's FFT
+        # plan cache untraced
+        a = random_symbol(AxisGrid(n, 3.0, d), 42)
+        gauss_smooth(a)
+        assert traced_peak_bytes(lambda: gauss_smooth(a)) <= 2.6 * 16 * a.values.size
 
     def test_unit_mass(self, axis):
         out = gauss_smooth(sample_symbol(ONE, axis))
