@@ -60,12 +60,11 @@ product, stays below half the gap from r to its neighbour on the
 residual's side (half as wide below a power of two); the derivation is in
 ``uwq.gridtext``.  A line with a field outside the grammar, not certified,
 subnormal or beyond the float range goes through ``np.loadtxt`` as before,
-and so does a block with other separators (a lone '\r', spaces) or whose
-first line has no comma (a blank line); '\r\n' line ends read as '\n'.
-The writer's 17 digits lie at least 0.05 units in the last place from a
-midpoint, so its text needs ``np.loadtxt`` only for subnormals, NaN and
-the infinities, and any file reads, or is rejected, as ``np.loadtxt``
-reads it.
+and so does a block with other separators ('\r', spaces) or whose first
+line has no comma (a blank line).  The writer's 17 digits lie at least
+0.05 units in the last place from a midpoint, so its text needs
+``np.loadtxt`` only for subnormals, NaN and the infinities, and any file
+reads, or is rejected, as ``np.loadtxt`` reads it.
 """
 
 from __future__ import annotations

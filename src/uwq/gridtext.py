@@ -285,7 +285,7 @@ def rows_values(text: bytes, fallback) -> np.ndarray:
     when the separators are, go through ``fallback(lines)``."""
     b = np.frombuffer(text, np.uint8)
     # ',' '\n' and '+' are the grammar's only bytes below '-'; any other
-    # byte there (' ', a lone '\r', ...) sends the block to the fallback
+    # byte there ('\r', ' ', ...) sends the block to the fallback
     sep = np.flatnonzero(b < 45)
     kind = b[sep]
     plus = kind == 43
@@ -296,11 +296,6 @@ def rows_values(text: bytes, fallback) -> np.ndarray:
     row[-1] = 10
     # a block whose first line has no comma (a blank line, say) too
     if cols == 1 or sep.size % cols or not (kind.reshape(-1, cols) == row).all():
-        # '\r\n' line ends read as '\n'; a lone '\r' ends a line in
-        # ``np.loadtxt``'s text mode, so it still goes to the fallback
-        cr = sep[kind == 13]
-        if cr.size and (b[cr + 1] == 10).all():
-            return rows_values(text.replace(b"\r", b""), fallback)
         return fallback(memoryview(text)[len(LEAD):])
     size = np.empty_like(sep)
     size[0] = sep[0] - len(LEAD)

@@ -141,6 +141,25 @@ def test_weights_growth_bound_uses_the_fitted_constants(monkeypatch):
     assert len(seen) == 3 and all(c is not None for c in seen)
 
 
+def test_norm_bound_sees_an_anti_hermitian_error(monkeypatch):
+    # A_a + i t I has the Hermitian part of A_a but a norm above t: the
+    # measured bound must stay above the true norm and fail the criterion
+    params = SuiteParams()
+    real = suites.anti_wick_matrix
+    norms = []
+
+    def skewed(a):
+        m = real(a)
+        entries = m.entries + 2j * float(np.max(np.abs(a.values))) * np.eye(len(m.entries))
+        norms.append(np.linalg.norm(entries, 2) / float(np.max(np.abs(a.values))))
+        return dataclasses.replace(m, entries=entries)
+
+    monkeypatch.setattr(suites, "anti_wick_matrix", skewed)
+    rep = suites.criterion_norm_bound(params)
+    assert rep.status == "fail"
+    assert rep.measured * (1.0 + 1e-6) >= max(norms) > 2.0
+
+
 def per_function_tau_and_compose(n: int) -> tuple:
     """The tau_change and composition measurements with one apply_symbol
     call per function and per (t1, t) or (a, b) pair: the loops the stacked
