@@ -282,7 +282,8 @@ class PolySymbol:
         kss = tuple(np.asarray(v) for v in kss)
         if len(xs) != self.d or len(kss) != self.d:
             raise UwqError("coordinate count must match dimension")
-        out = 0.0
+        # summed in the result array, from +0.0, so no sample is -0.0
+        out = np.zeros(np.broadcast_shapes(*(v.shape for v in xs + kss)), complex)
         for (xe, ke), c in self.terms.items():
             term = c
             for v, e in zip(xs, xe):
@@ -291,8 +292,8 @@ class PolySymbol:
             for v, e in zip(kss, ke):
                 if e:
                     term = term * v**e
-            out = out + term
-        return out + np.zeros(np.broadcast_shapes(*(v.shape for v in xs + kss)), complex)
+            out += term
+        return out
 
     def __repr__(self):
         if not self.terms:

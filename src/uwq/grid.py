@@ -39,11 +39,17 @@ round(y) = 10^17 carries into k + 1, both exponents print the same text.
 The 17 digits are round-half-even(y), correct (Steele & White, PLDI 1990)
 unless y lies within 1e-6 of a rounding tie.  Such values, NaN and the
 infinities take Python's ``%.17g``; in random data that is about one
-value in 500,000, plus every exact tie.  The text is cut from a per-value
-template by a mask looked up by layout (fixed notation for -4 <= k < 17,
-else d.ddde+XX with 2 or 3 exponent digits), sign and last nonzero digit,
-which drops trailing zeros and a bare point; the digits and index columns
-come from a table of 4-digit strings.
+value in 500,000, plus every exact tie.  The digits split, in doubles and
+each step exact, into the first and four groups of four.  Each value's
+text fills a 32-byte template from tables: the sign, then "0." and zeros
+or a '.' after the first digit by layout (fixed notation for
+-4 <= k < 17, else d.ddde+XX with 2 or 3 exponent digits), the groups as
+4-digit strings up to the last nonzero digit, and the exponent.  In fixed
+notation with k >= 1 and a fraction the digits after the k-th move up one
+byte to let the '.' in.  An operator's index text comes from one table of
+its n indices, a function's or phase grid's from the 4-digit strings; the
+NUL bytes left are dropped once per block (layouts and proofs in
+``uwq.gridtext``).
 
 The reader parses the body with numpy too (``uwq.gridtext``), 256 KiB of
 whole lines at a time, so the body is never held whole.  The index
@@ -142,6 +148,14 @@ class AxisGrid:
         """Open (broadcastable) coordinate arrays, one per axis."""
         return tuple(np.ix_(*([self.points()] * self.d)))
 
+    def phase_meshes(self) -> tuple:
+        """Open coordinate arrays of the phase space, x axes then the dual
+        grid's xi axes, x-major."""
+        d = self.d
+        xs = tuple(m.reshape(m.shape + (1,) * d) for m in self.meshes())
+        ks = tuple(m.reshape((1,) * d + m.shape) for m in self.dual().meshes())
+        return xs + ks
+
     def dual(self) -> "AxisGrid":
         return AxisGrid(n=self.n, L=math.pi * self.n / (2.0 * self.L), d=self.d)
 
@@ -161,7 +175,9 @@ class FunctionGrid:
 
     @classmethod
     def from_callable(cls, axis: AxisGrid, f) -> "FunctionGrid":
-        return cls(axis, np.asarray(f(*axis.meshes()), dtype=complex) + np.zeros(axis.shape))
+        """f at the grid points, broadcast to the grid's shape (plus 0.0, so
+        -0.0 samples read 0.0)."""
+        return cls(axis, np.add(f(*axis.meshes()), 0.0, out=np.empty(axis.shape, complex)))
 
     @classmethod
     def zero(cls, axis: AxisGrid) -> "FunctionGrid":
@@ -185,12 +201,8 @@ class PhaseFunctionGrid:
 
     @classmethod
     def from_callable(cls, xaxis: AxisGrid, f) -> "PhaseFunctionGrid":
-        xm = xaxis.meshes()
-        km = xaxis.dual().meshes()
-        d = xaxis.d
-        xs = tuple(m.reshape(m.shape + (1,) * d) for m in xm)
-        ks = tuple(m.reshape((1,) * d + m.shape) for m in km)
-        vals = np.asarray(f(*xs, *ks), dtype=complex) + np.zeros(xaxis.shape * 2)
+        """f at the phase points, as ``FunctionGrid.from_callable``."""
+        vals = np.add(f(*xaxis.phase_meshes()), 0.0, out=np.empty(xaxis.shape * 2, complex))
         return cls(xaxis, vals)
 
 
@@ -273,11 +285,15 @@ _CELLS = {
     "phase": lambda axis: (axis.size**2,),
     "operator": lambda axis: (axis.size, axis.size),
 }
-# rows formatted at once: the block's temporaries stay near 1 MB whatever
-# the file's size, and larger blocks are not faster
+# rows formatted at once: the block's temporaries peak near 1.2 MB
+# (tracemalloc) whatever the file's size; on a 2-core VM blocks of 4096
+# rows wrote the three 512^2 files of a cli-io pass 5% faster but peaked
+# at 2.4 MB
 _BLOCK_ROWS = 2048
-# body bytes the reader parses at once: its temporaries stay near 4 MB
-# whatever the file's size, and blocks of 2^17-2^19 bytes read alike
+# body bytes the reader parses at once: its temporaries peak near 4.4 MB,
+# 17 times the block, whatever the file's size; on a 2-core VM a 512^2
+# phase file read in 134, 121, 98, 92 and 99 ms with blocks of 2^16, ...,
+# 2^20 bytes
 _BODY_BYTES = 1 << 18
 
 
@@ -301,8 +317,8 @@ def save_grid(axis: AxisGrid, values: np.ndarray, path, kind=None) -> None:
     flat = values.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(f"# n={axis.n} L={axis.L:.17g} d={axis.d}{tail}\n".encode())
-        for start in range(0, flat.size, _BLOCK_ROWS):
-            fh.write(gridtext.rows_text(flat[start:start + _BLOCK_ROWS], start, cells))
+        for text in gridtext.rows_text(flat, cells, _BLOCK_ROWS):
+            fh.write(text)
 
 
 def _parse_header(line: str, kind) -> AxisGrid:
@@ -364,6 +380,16 @@ def _read_rows(fh, carry: bytes, size: int, width: int):
     # a row takes at least 2 bytes a column, so the file's size bounds the
     # rows, whatever the header claims (a pipe reports 0 and grows below)
     most = os.fstat(fh.fileno()).st_size // (2 * width)
+    # A block's parse makes temporaries of about 17 times the block in the
+    # malloc heap.  glibc gives the top of its heap back to the system once
+    # more than its trim threshold lies free there, 128 KiB in a fresh
+    # process, so each block faulted its pages in anew: 45,500 minor faults
+    # in a first 512^2 read, 2,000 in a second.  Freeing a mapped chunk
+    # raises the mmap threshold to its size and the trim threshold to twice
+    # that (mallopt(3)): this array of 16 blocks, never touched, lifts the
+    # trim threshold above the parse's temporaries before the first block.
+    heap = np.empty(16 * _BODY_BYTES, np.uint8)
+    del heap
     data = np.empty((min(size, max(most, 1)), width))
     rows, cols = 0, None
     for text in _body_blocks(fh, carry, gridtext.LEAD):

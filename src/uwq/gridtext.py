@@ -1,18 +1,46 @@
-"""The row text of grid files: Python's ``'%.17g' % x`` for every double,
-made with numpy a block of rows at a time (method in the ``uwq.grid``
-module docstring).  ``grid.save_grid`` imports this module on its first
-write, and the tables below are built then.
+"""The row text of grid files, written and read with numpy a block of rows
+at a time (methods in the ``uwq.grid`` module docstring).  ``uwq.grid``
+imports this module on its first write or read, and the tables below are
+built then.
 
-One value's text is cut from a 48-byte template, six uint64 words:
+The writer, ``rows_text``, prints each double as Python's ``'%.17g' % x``.
+A value's text is cut from a 32-byte template, four uint64 words, first
+byte lowest:
 
-    0 '-' | 1-5 "0.000" | 6-39 "d.d.d. ... d." for the 17 digits d0..d16 |
-    40 'e' | 41 exponent sign | 42-44 exponent digits | 45 ',' or '\\n' | 46-47 NUL
+    word 0     '-' | "0.000" | d0 | '.'
+    words 1-2  the digits d1..d16
+    word 3     NUL | 'e' | exponent sign | 3 exponent digits | NUL | ',' or '\\n'
 
-A mask per layout keeps the bytes of the value's text and NULs the rest;
-the separator at byte 45 is set per row, and the NULs are dropped once per
-block.  Layouts: 0-20 fixed notation with exponent k = layout - 4, 21 and
-22 exponential with 2 and 3 exponent digits.  A zero goes through as 1.0
-with its leading digit set to 0, which prints "0" or "-0".
+Word 0 comes from a table by form, sign and d0: for k = -4..-1, "0." and
+-k-1 zeros before d0; for k = 0 and exponential notation, a '.' after d0
+when digits follow it; for k = 1..16, d0 alone.  Words 1-2 come from the
+table of 4-digit strings, NUL past the digits shown (through the last
+nonzero one, and in fixed notation through digit k).  Word 3 comes from a
+table by k: NUL in fixed notation, and NUL hundreds for a 2-digit
+exponent.  In fixed notation with k >= 1 and digits after d_k, the '.'
+goes after d_k: the digits after it move up one byte, d16 into byte 24,
+under masks from a table by k.  Python's text replaces the template of
+NaN, the infinities and values near a rounding tie.  The separator goes
+into byte 31, the row's index text in front; the NUL bytes are dropped
+once per block.
+
+The 17 digits D = yh + rint(yl), 10^16 <= D <= 10^17, are split in
+doubles, each step exact.  yh is an even integer below 2^57 and |yl| < 9.
+Let c = fl(10^-8) = 10^-8 (1 + d) and c' = fl(10^-4) = 10^-4 (1 + d'), with
+0 < d < 2.1e-17 and 0 < d' < 4.8e-17: both round up.  (1) hi =
+floor(yh c) is Q = floor(yh / 10^8) or Q + 1: the product is at least
+yh / 10^8 and rounds monotonically, and it exceeds yh / 10^8 by less than
+10^9 d + 2^-24 < 10^-7, so it reaches Q + 1 only when yh - 10^8 Q >
+10^8 - 10.  So lo = yh - 10^8 hi + rint(yl) lies in (-20, 10^8 + 10), and
+it is exact: 10^8 hi = 5^8 hi 2^8 has at most 53 bits, and each
+difference is an integer below 2^53.  (2) step = floor(lo c) is then -1,
+0 or 1, exactly, and hi + step, lo - 10^8 step give D = 10^8 hi + lo with
+0 <= lo < 10^8.  (3) hi = 10^9 is the carry D = 10^17: it prints as
+10^16 with k + 1.  (4) For an integer z = 10^8 t + u < 10^9, u < 10^8,
+z c lies in [t, t + 1 - 10^-8 + 10 d], which rounds into [t, t + 1); so
+floor(hi c) = d0 with no correction.  The same bound with c' splits each
+8-digit half u < 10^8 into two 4-digit groups, and every remainder is an
+exact integer difference.
 
 The reader (``rows_values``; method in the ``uwq.grid`` docstring) reads
 a field right-aligned in 24 bytes, its exponent from the last 8.  Its
@@ -42,8 +70,9 @@ import numpy as np
 
 __all__ = ["rows_text", "rows_values", "LEAD"]
 
-# the 10^j table's rows: j = _TEN_J0 ... _TEN_J1, NaN at both ends, where
-# the reader clamps any other j
+# the 10^j table's entries: j = _TEN_J0 ... _TEN_J1, NaN at both ends, where
+# the reader clamps any other j; four contiguous columns, which the writer
+# and the reader gather one at a time
 _TEN_J0, _TEN_J1 = -344, 342
 _DEKKER = 134217729.0  # 2^27 + 1
 _TIE_MARGIN = 1e-6
@@ -53,26 +82,6 @@ _ZEROS = 0x30 * _ONES  # "00000000"
 _HIGH = 0x80 * _ONES
 _LOW = 0x7F * _ONES
 LEAD = b"0" * 24  # what a block of rows starts with: the window of its first field
-
-
-def _layout_mask(layout: int, neg: int, nd: int) -> np.ndarray:
-    """Template bytes kept for a value of this layout and sign whose last
-    nonzero digit is digit nd (1-based); digit i is byte 6 + 2i and the
-    point slot after it byte 7 + 2i."""
-    keep = [0] * neg
-    if layout <= 20:
-        k = layout - 4
-        keep += [6 + 2 * i for i in range(nd if k < 0 else max(nd, k + 1))]
-        if k < 0:
-            keep += range(1, 2 - k)  # "0." and -k-1 zeros
-        elif nd > k + 1:
-            keep.append(7 + 2 * k)
-    else:
-        keep += [6 + 2 * i for i in range(nd)] + [7] * (nd > 1)
-        keep += [40, 41, 43, 44] + [42] * (layout == 22)
-    mask = np.zeros(48, np.uint8)
-    mask[keep] = 255
-    return mask
 
 
 def _build_tables() -> dict:
@@ -101,22 +110,42 @@ def _build_tables() -> dict:
     digits4 = digits4.reshape(10000, 4)
     stripped = digits4 * (np.cumsum(digits4 != ord("0"), axis=1) > 0).astype(np.uint8)
     stripped[0, 3] = ord("0")
-    dotted = np.full((10000, 8), ord("."), np.uint8)
-    dotted[:, ::2] = digits4
     # digit number (1-based) of the last nonzero digit of group g, or 1
     last = np.ones((4, 10000), np.int8)
     for g in range(4):
         for p in range(4):
             last[g][digits4[:, p] != ord("0")] = 2 + 4 * g + p
-    head = np.tile(np.frombuffer(b"-0.000\0.", np.uint8), (10, 1))
-    head[:, 6] = ord("0") + np.arange(10)
-    # per exponent k in [-324, 308]
+    # word 0 by (form, sign, d0); forms 0-3 put "0." and 3 - form zeros
+    # before d0, form 4 a '.' after it, form 5 nothing
+    head = np.zeros((6, 2, 10, 8), np.uint8)
+    head[:, 1, :, 0] = ord("-")
+    for form in range(4):
+        head[form, :, :, 1:6 - form] = np.frombuffer(b"0.000"[:5 - form], np.uint8)
+    head[:, :, :, 6] = ord("0") + np.arange(10)
+    head[4, :, :, 7] = ord(".")
+    # per exponent k in [-324, 308]: word 3, the form, and how many digits
+    # fixed notation shows at least
     k = np.arange(-324, 309)
+    fixed = (k >= -4) & (k < 17)
     expo = np.zeros((k.size, 8), np.uint8)
-    expo[:, 0] = ord("e")
-    expo[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    expo[:, 2:5] = digits4[np.abs(k), 1:]
-    layout = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22))
+    expo[:, 1] = ord("e")
+    expo[:, 2] = np.where(k < 0, ord("-"), ord("+"))
+    expo[:, 3:6] = digits4[np.abs(k), 1:]
+    expo[np.abs(k) < 100, 3] = 0
+    expo[fixed] = 0
+    form = np.where(fixed & (k < 0), k + 4, np.where(fixed & (k > 0), 5, 4))
+    # words 1-2 when they show their first n digits
+    shown = np.zeros((17, 16), np.uint8)
+    for n in range(17):
+        shown[n, :n] = 255
+    # per k = 1-15, the masks of words 1-2 that keep bytes before byte k and
+    # take the bytes after it from the words moved one byte up, and the '.'
+    point = np.zeros((16, 2, 3, 8), np.uint8)
+    for at in range(1, 16):
+        word, byte = divmod(at, 8)
+        point[at, :word, 0] = point[at, word + 1:, 1] = 255
+        point[at, word, 0, :byte] = point[at, word, 1, byte + 1:] = 255
+        point[at, word, 2, byte] = ord(".")
     keep = np.zeros((25, 24), np.uint8)
     for n in range(1, 25):
         keep[n, 24 - n:] = 255
@@ -126,24 +155,22 @@ def _build_tables() -> dict:
     tens, ones = pair & 0xFF, pair >> 8
     ok = (ones >= 48) & (ones <= 57) & (tens >= 48) & (tens <= 57)
     exp2 = np.where(ok, 10 * tens + ones - 528, -1).astype(np.int16)
-    # mask (layout, neg, nd) is row (2 layout + neg) 17 + nd - 1
-    masks = np.array([_layout_mask(lay, neg, nd) for lay in range(23)
-                      for neg in (0, 1) for nd in range(1, 18)])
     tables = {
-        "ten": np.array(ten),
+        "ten": np.array(ten).T.copy(),
         "shift": np.array(shift, np.int32),
-        "digits4": digits4.view(np.uint32).ravel(),
+        "digits4": digits4.view(np.uint32).ravel().astype(np.uint64),
         "stripped": stripped.view(np.uint32).ravel(),
-        "dotted": dotted.view(np.uint64).ravel(),
         "last": last,
         "head": head.view(np.uint64).ravel(),
         "expo": expo.view(np.uint64).ravel(),
+        "form": form.astype(np.int8),
+        "least": np.where(fixed & (k >= 0), k + 1, 1).astype(np.int8),
+        "shown": shown.view(np.uint64).T.copy(),
+        "point": point.view(np.uint64).reshape(16, 6),
         # for the reader: per mantissa length (0-24 bytes) the window
         # bytes it keeps; the value of two exponent digits
         "keep": keep,
         "exp2": exp2,
-        "code": layout * 34 - 1,
-        "masks": masks.view(np.uint64),
     }
     # The tables live as long as the process.  Built in the malloc heap in
     # the middle of a benchmark pass, they kept it from shrinking: the
@@ -165,28 +192,28 @@ def _scaled(m, e, k):
     """|x| 10^(16 - k) as yh + yl for |x| = m 2^e: the product of m and the
     double-double 10^(16 - k) by Dekker's exact TwoProduct."""
     j = 16 - _TEN_J0 - k
-    hi, hh, hl, lo = _T["ten"][j].T
+    hi, hh, hl, lo = (np.take(column, j) for column in _T["ten"])
     mh = m * _DEKKER - (m * _DEKKER - m)
     ml = m - mh
     p = m * hi
     err = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * lo
-    s = e + _T["shift"][j]
+    s = e + np.take(_T["shift"], j)
     return np.ldexp(p, s), np.ldexp(err, s)
 
 
 def _value_words(v: np.ndarray):
-    """The masked templates of the doubles ``v`` (alternately real and
-    imaginary parts), and which of them need Python's formatting."""
+    """The templates of the doubles ``v`` (alternately real and imaginary
+    parts), four words each, and which of them need Python's formatting."""
     finite = np.isfinite(v)
     zero = v == 0
     a = np.where(finite & ~zero, np.abs(v), 1.0)
     m, e = np.frexp(a)
-    k = np.floor(np.log10(a)).astype(np.int32)
+    k = np.floor(np.log10(a)).astype(np.intp)
     yh, yl = _scaled(m, e, k)
     # log10 may miss k by one; move it until 10^16 <= y < 10^17 (from
     # 10^16 - 0.025 on, the text is the same either way)
     while True:
-        step = ((yh - 1e17) + yl >= 0).astype(np.int32) - ((yh - 1e16) + yl < -0.025)
+        step = ((yh - 1e17) + yl >= 0).astype(np.intp) - ((yh - 1e16) + yl < -0.025)
         redo = np.flatnonzero(step)
         if not redo.size:
             break
@@ -194,26 +221,50 @@ def _value_words(v: np.ndarray):
         yh[redo], yl[redo] = _scaled(m[redo], e[redo], k[redo])
     # yh is an even integer, so rint(yl) rounds yh + yl half to even
     r = np.rint(yl)
-    digits = yh.astype(np.int64) + r.astype(np.int64)
     slow = (np.abs(yl - r) > 0.5 - _TIE_MARGIN) | ~finite
-    carry = digits == 10**17
-    digits[carry] = 10**16
+    # the 17 digits yh + r as d0 10^16 + g0 10^12 + ... + g3, in doubles
+    # (each step exact; the proof is in the module docstring)
+    hi = np.floor(yh * 1e-8)
+    lo = yh - hi * 1e8
+    lo += r
+    step = np.floor(lo * 1e-8)
+    hi += step
+    lo -= step * 1e8
+    carry = hi == 1e9
+    np.copyto(hi, 1e8, where=carry)
     k += carry
-    top, rest = np.divmod(digits, 10**16)
-    g = np.empty((4, v.size), np.intp)
-    hi, lo = np.divmod(rest, 10**8)
-    g[0], g[1] = np.divmod(hi, 10**4)
-    g[2], g[3] = np.divmod(lo, 10**4)
+    d0 = np.floor(hi * 1e-8)
+    hi -= d0 * 1e8
+    g0 = np.floor(hi * 1e-4)
+    g2 = np.floor(lo * 1e-4)
+    g = [g0, hi - g0 * 1e4, g2, lo - g2 * 1e4]
+    g = [x.astype(np.intp) for x in g]
     last = _T["last"]
-    nd = np.maximum(np.maximum(last[0][g[0]], last[1][g[1]]),
-                    np.maximum(last[2][g[2]], last[3][g[3]]))
+    nd = np.maximum(np.maximum(np.take(last[0], g[0]), np.take(last[1], g[1])),
+                    np.maximum(np.take(last[2], g[2]), np.take(last[3], g[3])))
     k += 324  # k is now a row of the per-exponent tables
-    words = np.empty((v.size, 6), np.uint64)
-    words[:, 0] = _T["head"][top - zero]
-    for i in range(4):
-        words[:, 1 + i] = _T["dotted"][g[i]]
-    words[:, 5] = _T["expo"][k]
-    words &= _T["masks"][_T["code"][k] + 17 * np.signbit(v) + nd]
+    form = np.take(_T["form"], k)
+    least = np.take(_T["least"], k)
+    form += (form == 4) & (nd == 1)  # no '.' after d0 without digits after it
+    shown = np.maximum(nd, least) - 1  # of the digits d1..d16
+    words = np.empty((v.size, 4), np.uint64)
+    head, first, second, tail = words.T
+    head[...] = np.take(_T["head"], (form * 2 + np.signbit(v)) * 10 + d0.astype(np.intp) - zero)
+    for word, pair, mask in ((first, g[:2], _T["shown"][0]), (second, g[2:], _T["shown"][1])):
+        low, high = (np.take(_T["digits4"], i) for i in pair)
+        high <<= np.uint64(32)
+        high |= low
+        np.bitwise_and(high, np.take(mask, shown), out=word)
+    tail[...] = np.take(_T["expo"], k)
+    # fixed notation with k >= 1 and a fraction: a '.' after digit k, and
+    # the digits after it one byte up, the last into word 3
+    inner = np.flatnonzero((form == 5) & (nd > least))
+    if inner.size:
+        a, b = first[inner], second[inner]
+        keep1, move1, dot1, keep2, move2, dot2 = np.take(_T["point"], k[inner] - 324, axis=0).T
+        first[inner] = (a & keep1) | ((a << np.uint64(8)) & move1) | dot1
+        second[inner] = (b & keep2) | (((b << np.uint64(8)) | (a >> np.uint64(56))) & move2) | dot2
+        tail[inner] = b >> np.uint64(56)
     return words, slow
 
 
@@ -230,30 +281,53 @@ def _index_words(i: np.ndarray, groups: int) -> np.ndarray:
     return words
 
 
-def rows_text(block: np.ndarray, start: int, cells: tuple) -> bytes:
-    """The grid-file rows ``index...,re,im`` of the entries ``block`` of an
-    array of shape ``cells``, the first at flat position ``start``."""
-    # per index its digit words, then a word holding the comma
-    groups = [-(-len(str(c - 1)) // 4) for c in cells]
-    lead = sum(groups) + len(groups)
-    row = np.zeros((block.size, lead + 24), np.uint32)
-    col = 0
-    for i, g in zip(np.unravel_index(np.arange(start, start + block.size), cells), groups):
-        row[:, col:col + g] = _index_words(i, g)
-        row[:, col + g] = ord(",")
-        col += g + 1
-    v = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-    words, slow = _value_words(v)
-    values = words.view(np.uint8)
-    for j in np.flatnonzero(slow):
-        exact = b"%.17g" % v[j]
-        values[j] = 0
-        values[j, :len(exact)] = np.frombuffer(exact, np.uint8)
-    text = row.view(np.uint8)
-    text[:, 4 * lead:] = values.reshape(block.size, 96)
-    text[:, 4 * lead + 45] = ord(",")
-    text[:, 4 * lead + 93] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+def _index_table(count: int) -> np.ndarray:
+    """The text ``i,`` of each i < ``count``, NUL-padded to whole uint32
+    words, as a (count, words) array."""
+    width = -(-(len(str(count - 1)) + 1) // 4) * 4
+    text = b"".join((b"%d," % i).ljust(width, b"\0") for i in range(count))
+    return np.frombuffer(text, np.uint32).reshape(count, width // 4)
+
+
+def rows_text(values: np.ndarray, cells: tuple, rows: int):
+    """The grid-file rows ``index...,re,im`` of ``values``, the entries of
+    an array of shape ``cells`` in C order, as bytes, ``rows`` rows at a
+    time.  One buffer of ``rows`` templates serves every block."""
+    if len(cells) == 1:
+        groups = -(-len(str(cells[0] - 1)) // 4)
+        lead = groups + 1  # digit words, then a word holding the comma
+    else:
+        # an operator's r,c from one n-entry table: the text of c repeats
+        # every n rows, so a block's is a slice of one period and n rows
+        n = cells[1]
+        table = _index_table(n)
+        cycle = np.arange(n + rows)
+        columns = np.take(table, cycle % n, axis=0)
+        cycle //= n
+        lead = 2 * table.shape[1]
+    text = np.zeros((rows, lead + 16), np.uint32)
+    if len(cells) == 1:
+        text[:, groups] = ord(",")
+    chars = text.view(np.uint8)
+    for start in range(0, values.size, rows):
+        block = values[start:start + rows]
+        size = block.size
+        if len(cells) == 1:
+            text[:size, :groups] = _index_words(np.arange(start, start + size), groups)
+        else:
+            at = start % n
+            text[:size, :lead // 2] = np.take(table, start // n + cycle[at:at + size], axis=0)
+            text[:size, lead // 2:lead] = columns[at:at + size]
+        v = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+        words, slow = _value_words(v)
+        for j in np.flatnonzero(slow):
+            exact = np.frombuffer(b"%.17g" % v[j], np.uint8)
+            words[j] = 0
+            words[j].view(np.uint8)[:exact.size] = exact
+        text[:size, lead:] = words.view(np.uint32).reshape(size, 16)
+        chars[:size, 4 * lead + 31] = ord(",")
+        chars[:size, 4 * lead + 63] = ord("\n")
+        yield chars[:size].tobytes().translate(None, b"\0")
 
 
 def _windows(b: np.ndarray, width: int) -> np.ndarray:
@@ -313,7 +387,7 @@ def rows_values(text: bytes, fallback) -> np.ndarray:
             out[part] = values.reshape(-1, rows)
             good[part] = ok.reshape(-1, rows)
     out = out.T
-    redo = np.unique(np.flatnonzero(~good) % rows)
+    redo = np.flatnonzero(~good.all(axis=0))
     if redo.size:
         ends = sep[-1] + 1
         starts = np.concatenate(([len(LEAD)], ends[:-1]))
@@ -387,9 +461,8 @@ def _scaled_value(mant: np.ndarray, q: np.ndarray):
     must come out normal, with the double-double product farther than its
     error bound from a midpoint (a q outside the table reads its NaN end
     rows)."""
-    j = np.clip(q, _TEN_J0, _TEN_J1) - _TEN_J0
-    ten = _TEN[j].view(np.float64).reshape(-1, 4)
-    hi, hh, hl, lo = ten[:, 0], ten[:, 1], ten[:, 2], ten[:, 3]
+    j = q - _TEN_J0
+    hi, hh, hl, lo = (np.take(column, j, mode="clip") for column in _T["ten"])
     m1 = mant.astype(np.float64)
     m2 = (mant - m1.astype(np.uint64)).view(np.int64).astype(np.float64)
     mh = m1 * _DEKKER - (m1 * _DEKKER - m1)
@@ -402,7 +475,7 @@ def _scaled_value(mant: np.ndarray, q: np.ndarray):
     # half the gap to the neighbour on t's side: below a power of two the
     # gap is half the one above
     half = np.ldexp(1.0, e - 54 - ((frac == 0.5) & (t < 0)))
-    e += _T["shift"][j]
+    e += np.take(_T["shift"], j, mode="clip")
     ok = (np.abs(t) + p * 2.0**-102 < half) & (e >= -1021) & (e <= 1024)
     return np.ldexp(frac, np.where(ok, e, 0)), ok
 
@@ -420,4 +493,3 @@ _WEIGHT0 = np.array([10**16, 10**15, 10**15], np.uint64)
 _WEIGHT1 = np.array([10**8, 10**8, 10**7], np.uint64)
 _FIRST = np.array([1000, 10000, 10000], np.uint64)
 _KEEP = _T["keep"].T.copy()  # word j of the mask for n bytes: _KEEP[j, n]
-_TEN = _T["ten"].view("V32").reshape(-1)

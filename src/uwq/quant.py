@@ -128,10 +128,8 @@ def sample_symbol(a: PolySymbol, axis: AxisGrid) -> PhaseFunctionGrid:
     """Exact samples of a polynomial symbol on the phase grid."""
     if a.d != axis.d:
         raise UwqError("symbol dimension does not match the grid")
-    d = axis.d
-    return PhaseFunctionGrid.from_callable(
-        axis, lambda *c: a.evaluate(c[:d], c[d:])
-    )
+    m = axis.phase_meshes()
+    return PhaseFunctionGrid(axis, a.evaluate(m[:axis.d], m[axis.d:]))
 
 
 def _axis_indices(axis: AxisGrid) -> np.ndarray:

@@ -590,6 +590,63 @@ class TestReader:
         assert peak <= 12.3 * 2**20, peak
 
 
+def digits17(x: float) -> str:
+    """The 17 significant digits %.17g prints for x."""
+    return f"{abs(x):.16e}"[:18].replace(".", "")
+
+
+def digit_split_doubles():
+    """Doubles at the edges of the writer's split of the 17 digits into d0,
+    two 8-digit halves and four 4-digit groups: each group and each half
+    at all zeros and all nines, the doubles just below a power of ten (the
+    slack below 10^16 and the carry into 10^17), and every exponent k where
+    the text's layout changes, with 17 digits, 3 and 1."""
+    rng = np.random.default_rng(31)
+    xs = []
+    for start, width in [(1, 4), (5, 4), (9, 4), (13, 4), (1, 8), (9, 8)]:
+        for fill in "09":
+            found = 0
+            while found < 3:
+                d = "".join(map(str, rng.integers(0, 10, 17)))
+                d = str(rng.integers(1, 10)) + d[1:start] + fill * width + d[start + width:]
+                x = float(f"{d[0]}.{d[1:]}e{rng.integers(-30, 30)}")
+                if digits17(x)[start:start + width] == fill * width:
+                    xs.append(x)
+                    found += 1
+    xs += [math.nextafter(float(f"1e{j}"), 0.0) for j in range(-307, 309)]
+    xs += [float(f"1e{j}") for j in range(-307, 309)]
+    for k in [*range(-6, 19), -101, -100, -99, -98, 98, 99, 100, 101]:
+        xs += [float(f"{m}e{k}") for m in ("1", "1.25", "9.8765432198765432", "1.0000000000000002")]
+    return xs
+
+
+class TestDigitSplit:
+    def test_cases_present(self):
+        xs = digit_split_doubles()
+        digits = [digits17(x) for x in xs]
+        for start, width in [(1, 4), (5, 4), (9, 4), (13, 4), (1, 8), (9, 8)]:
+            for fill in "09":
+                assert any(d[start:start + width] == fill * width for d in digits), (start, fill)
+        # y = |x| 10^(16 - k) for k = floor(log10 |x|) as numpy computes it:
+        # 17 digits of 10^17 - 1/2 or more carry into 10^17; above
+        # 10^16 - 0.025 the slack takes y as it is
+        carry = slack = 0
+        for x in xs:
+            k = int(np.floor(np.log10(x)))
+            y = Fraction(x) * Fraction(10) ** (16 - k)
+            slack += 10**16 - Fraction(1, 40) <= y < 10**16
+            carry += 10**16 - Fraction(1, 20) <= y < 10**16 - Fraction(1, 40)
+        assert carry >= 3 and slack >= 3, (carry, slack)
+
+    def test_bytes_and_exact_read(self, tmp_path, monkeypatch):
+        xs = digit_split_doubles()
+        xs += [-x for x in xs]
+        axis, values = padded([complex(x, y) for x, y in zip(xs, xs[::-1])])
+        path = assert_reference_bytes(tmp_path, axis, values)
+        parsed_only(monkeypatch)
+        assert hexes(load_function(path).values) == hexes(values)
+
+
 class TestWriterRefuses:
     @pytest.mark.parametrize("values, kind", [
         (np.zeros(5), None),            # 5 rows, the header needs 4

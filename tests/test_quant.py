@@ -259,6 +259,51 @@ def random_symbol(axis, seed):
     return PhaseFunctionGrid(axis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+class TestSampleSymbol:
+    @staticmethod
+    def summed_then_broadcast(a, axis):
+        """The samples as a sum of the terms' broadcast arrays, then 0 of
+        the phase shape added, complex and real, as they were computed
+        before the sum went into the result array."""
+        m = axis.phase_meshes()
+        out = 0.0
+        for (xe, ke), c in a.terms.items():
+            term = c
+            for v, e in zip(m, xe + ke):
+                if e:
+                    term = term * v**e
+            out = out + term
+        out = out + np.zeros(axis.shape * 2, complex)
+        return out + np.zeros(axis.shape * 2)
+
+    @pytest.mark.parametrize("n, d", [(64, 1), (8, 2)])
+    def test_bitwise_signed_zeros_included(self, n, d):
+        rng = np.random.default_rng(41)
+        ax = AxisGrid(n, 3.0, d)
+        for _ in range(4):
+            terms = {}
+            for e in rng.integers(0, 3, (5, 2 * d)):
+                c = complex(*rng.choice([-0.0, 0.0, 1.5, -2.25], 2))
+                terms[(tuple(map(int, e[:d])), tuple(map(int, e[d:])))] = c
+            a = PolySymbol(d, terms)
+            want = self.summed_then_broadcast(a, ax)
+            assert np.array_equal(sample_symbol(a, ax).values.view(np.uint64), want.view(np.uint64))
+            fc = PhaseFunctionGrid.from_callable(ax, lambda *c: a.evaluate(c[:d], c[d:]))
+            assert np.array_equal(fc.values.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory(self):
+        # the terms are summed in the result array (16 MiB at d=2, n=32);
+        # a monomial in all 2d coordinates is one more array of its size
+        ax = AxisGrid(32, 6.0, 2)
+        size = 16 * ax.size**2
+        partial = PolySymbol(2, {((1, 0), (0, 2)): 1.5j, ((0, 2), (1, 0)): -0.5,
+                                 ((1, 1), (1, 0)): 0.25, ((0, 0), (0, 0)): 2.0})
+        full = PolySymbol(2, {((1, 1), (1, 1)): 1.0, ((2, 0), (0, 0)): 1j})
+        for a, bound in ((partial, 1.1), (full, 2.1)):
+            sample_symbol(a, ax)
+            assert traced_peak_bytes(lambda: sample_symbol(a, ax)) <= bound * size
+
+
 class TestKernel:
     def test_unit_symbol_gives_identity(self, axis):
         M = operator_matrix(kernel_from_symbol(ONE, 0.5, axis))
