@@ -621,15 +621,15 @@ def digit_split_doubles():
 
 
 class TestDigitSplit:
-    def test_cases_present(self):
+    def test_bytes_and_exact_read(self, tmp_path, monkeypatch):
         xs = digit_split_doubles()
         digits = [digits17(x) for x in xs]
         for start, width in [(1, 4), (5, 4), (9, 4), (13, 4), (1, 8), (9, 8)]:
             for fill in "09":
                 assert any(d[start:start + width] == fill * width for d in digits), (start, fill)
         # y = |x| 10^(16 - k) for k = floor(log10 |x|) as numpy computes it:
-        # 17 digits of 10^17 - 1/2 or more carry into 10^17; above
-        # 10^16 - 0.025 the slack takes y as it is
+        # the writer takes y from 10^16 - 0.025 on (the slack) and below it
+        # moves to 10 y, whose 17 digits then carry into 10^17
         carry = slack = 0
         for x in xs:
             k = int(np.floor(np.log10(x)))
@@ -637,9 +637,6 @@ class TestDigitSplit:
             slack += 10**16 - Fraction(1, 40) <= y < 10**16
             carry += 10**16 - Fraction(1, 20) <= y < 10**16 - Fraction(1, 40)
         assert carry >= 3 and slack >= 3, (carry, slack)
-
-    def test_bytes_and_exact_read(self, tmp_path, monkeypatch):
-        xs = digit_split_doubles()
         xs += [-x for x in xs]
         axis, values = padded([complex(x, y) for x, y in zip(xs, xs[::-1])])
         path = assert_reference_bytes(tmp_path, axis, values)
