@@ -228,7 +228,10 @@ def _cmd_weights(args) -> int:
         w = load_weights(args.weights_file)
     else:
         trunc = constants.WEIGHTS_TRUNCATION if args.truncation is None else args.truncation
-        w = WeightSequence.gevrey(args.gevrey, truncation=trunc)
+        try:
+            w = WeightSequence.gevrey(args.gevrey, truncation=trunc)
+        except ValueError as exc:
+            raise UwqError(f"--truncation asks for too many weights ({exc})") from None
     lines = []
     if args.check:
         rep = check_conditions(w)
@@ -330,7 +333,10 @@ def _cmd_gaussconv(args) -> int:
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step) and step > 0.0
             and a <= b):
         raise UwqError("--x a:b:step needs finite a <= b and a step > 0")
-    xs = np.arange(a, b + 0.5 * step, step)
+    try:
+        xs = np.arange(a, b + 0.5 * step, step)
+    except ValueError as exc:
+        raise UwqError(f"--x a:b:step asks for too many points ({exc})") from None
     lines = ["x,via_laplace,direct,relerr"]
     for xv in xs:
         via = conv_gauss_via_laplace(S, args.s, xv)
@@ -468,7 +474,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UwqError, OSError) as exc:
+    except (UwqError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -286,13 +286,23 @@ class PolySymbol:
         out = np.zeros(np.broadcast_shapes(*(v.shape for v in xs + kss)), complex)
         for (xe, ke), c in self.terms.items():
             term = c
-            for v, e in zip(xs, xe):
-                if e:
-                    term = term * v**e
-            for v, e in zip(kss, ke):
-                if e:
-                    term = term * v**e
-            out += term
+            powers = [v**e for v, e in zip(xs + kss, xe + ke) if e]
+            # multiplied up to the first output-sized product; the rest is
+            # formed and added one slab of the first axis at a time, so no
+            # second array of the output's size exists
+            while powers and (out.ndim == 0 or out.shape != np.broadcast_shapes(
+                    np.shape(term), powers[0].shape)):
+                term = term * powers.pop(0)
+            if not powers:
+                out += term
+                continue
+            term = np.broadcast_to(term, out.shape)
+            powers = [np.broadcast_to(p, out.shape) for p in powers]
+            for i in range(out.shape[0]):
+                slab = term[i]
+                for p in powers:
+                    slab = slab * p[i]
+                out[i] += slab
         return out
 
     def __repr__(self):

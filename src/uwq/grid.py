@@ -436,12 +436,14 @@ def _load_grid(path, kind):
         raise UwqError(f"grid file has {rows} rows, its header needs {size}")
     if cols != len(cells) + 2:
         raise UwqError(f"grid rows need {len(cells) + 2} columns, got {cols}")
-    index = data[:, :-2]
-    if not np.all(index == np.floor(index)):
+    # one index column at a time: an operator file's (N, 2) view takes
+    # twice as long
+    index = [data[:, j] for j in range(len(cells))]
+    if not all(np.all(c == np.floor(c)) for c in index):
         raise UwqError("grid index is not an integer")
-    if not np.all((index >= 0) & (index < cells)):
+    if not all(np.all((c >= 0) & (c < m)) for c, m in zip(index, cells)):
         raise UwqError(f"grid index outside the {cells} array")
-    pos = np.ravel_multi_index(index.T.astype(np.intp), cells)
+    pos = np.ravel_multi_index([c.astype(np.intp) for c in index], cells)
     seen = np.zeros(size, dtype=bool)
     seen[pos] = True
     if not seen.all():

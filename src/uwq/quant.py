@@ -22,14 +22,13 @@ the one flat index between that table and the N x N matrix: the kernel
 builders and the Anti-Wick matrix gather through it, and
 ``symbol_from_kernel`` scatters through it.  ``_filter_classes`` is the
 one per-class filter, FFTs along the rows in place: the fractional
-midpoint shift of a sampled kernel and the window-pair convolution of the
-Anti-Wick matrix.  Costs: O(N^2) per distinct x-exponent of a polynomial
-symbol, O(N^2 log n) time and O(N^2) memory for a sampled one and for the
-Anti-Wick matrix; ``symbol_from_kernel`` adds a stencil of at most 16 N^2
-multiply-adds per axis before its class-axis FFT.  Every matrix is
-checked finite when it is built: float64 overflow in an assembly raises
-``OverflowDomainError``, without numpy warnings, instead of returning
-inf or nan.
+midpoint shift of a sampled kernel, for any finite tau, and of its
+inverse, and the window-pair convolution of the Anti-Wick matrix.  Costs:
+O(N^2) per distinct x-exponent of a polynomial symbol, O(N^2 log n) time
+and O(N^2) memory for the sampled maps and the Anti-Wick matrix.  Every
+matrix is checked finite when it is built: float64 overflow in an
+assembly raises ``OverflowDomainError``, without numpy warnings, instead
+of returning inf or nan.
 ``apply_symbol`` is the matrix-free path: it applies the same
 tau-quantization of a polynomial symbol to a stack of k functions with
 FFTs over their trailing axes, in O(kN log N) per (xi-power,
@@ -43,7 +42,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,19 +67,6 @@ __all__ = [
     "verify_smoothing_identity",
     "hermite_function",
 ]
-
-
-def _tau_fraction(tv: float, n: int) -> tuple:
-    """tau as p/q with a small denominator; required by the interpolating
-    paths so midpoints land on a refined lattice.  They read tau only
-    through x - tau r mod n for integer r, so p is reduced mod q n, into
-    [-q n/2, q n/2): tau and tau + n give one map, and tau in [-n/2, n/2)
-    keeps its own p."""
-    frac = Fraction(tv).limit_denominator(64)
-    if abs(float(frac) - tv) > 1e-12:
-        raise UwqError("tau must be rational with denominator <= 64 on grid paths")
-    p, q = frac.numerator, frac.denominator
-    return (p + q * n // 2) % (q * n) - q * n // 2, q
 
 
 # The dense builders let float64 overflow run to inf/nan without numpy
@@ -164,7 +149,10 @@ def _class_index(n: int, d: int, whole: np.ndarray, steps) -> np.ndarray:
 def _filter_classes(B: np.ndarray, F: np.ndarray) -> None:
     """Filter every class of the (row, class) table B along its row axes,
     in place and one axis at a time, the last first: forward FFT, multiply
-    class c by ``F[:, c]`` (rows in DFT order), inverse FFT."""
+    class c by ``F[:, c]`` (rows in DFT order), inverse FFT.  Its three
+    users: the sampled kernel builder's fractional midpoint shift,
+    ``symbol_from_kernel``'s 16-point stencil and ``anti_wick_matrix``'s
+    window-pair convolution."""
     d, n = B.ndim // 2, B.shape[0]
     for i in reversed(range(d)):
         shape = [1] * (2 * d)
@@ -172,6 +160,28 @@ def _filter_classes(B: np.ndarray, F: np.ndarray) -> None:
         np.fft.fft(B, axis=i, out=B)
         B *= F.reshape(shape)
         np.fft.ifft(B, axis=i, out=B)
+
+
+def _class_offsets(tv: float, n: int) -> tuple:
+    """Per class c in DFT order, with r = ((c + n/2) mod n) - n/2 the
+    nearest periodic image of t - s: delta_r = remainder(tau, n) r grid
+    steps, as whole steps and a fraction in [0, 1).  The sampled maps read
+    tau only through x - tau r mod n, so tau and tau + n give one map."""
+    delta = math.remainder(tv, n) * ((np.arange(n) + n // 2) % n - n // 2)
+    whole = np.floor(delta)
+    return whole.astype(np.intp), delta - whole
+
+
+def _shift_classes(B: np.ndarray, frac: np.ndarray, transfer) -> None:
+    """Shift class c of the (row, class) table B forward by ``frac[c]`` row
+    steps on every row axis, in place through ``_filter_classes``;
+    ``transfer(fracs, n)`` gives the (n, F) filter of the F distinct
+    fractions, rows in DFT order.  A table whose classes all lie on the
+    grid is left as it is."""
+    if frac.any():
+        fracs, which = np.unique(frac, return_inverse=True)
+        # F[:, which] is ~5x slower than np.take for n x n filters
+        _filter_classes(B, np.take(transfer(fracs, B.shape[0]), which, axis=1))
 
 
 def _xi_power(axis: AxisGrid, k: int) -> np.ndarray:
@@ -229,9 +239,8 @@ def kernel_from_symbol(a, tau: float, axis: AxisGrid = None) -> KernelMatrix:
     Polynomial symbols are evaluated exactly at the midpoints.  Sampled
     symbols are trigonometrically interpolated there: each difference-class
     column of the inverse xi transform is shifted spectrally by the
-    fraction of a grid step its midpoints lie off the grid (tau must then
-    be rational with denominator <= 64, so that fraction is a multiple of
-    1/q for tau = p/q).
+    fraction of a grid step its midpoints lie off the grid, for any finite
+    tau (class r's midpoints lie delta_r = remainder(tau, n) r steps off).
     """
     tv = _finite_tau(tau)
     axis = _symbol_axis(a, axis)
@@ -278,34 +287,32 @@ def _kernel_from_grid(a: PhaseFunctionGrid, tv: float) -> KernelMatrix:
     transform of the symbol and r the nearest periodic image of t - s, the
     class ``symbol_from_kernel`` reads.
 
-    For tau = p/q the midpoint is the point w = q t - p r of the q-times
-    finer lattice, and its residue c = -p r mod q depends only on the class,
-    so each class of B is shifted spectrally by c/q steps in place, with
-    length-n FFTs along x.  The whole steps w // q are left to the final
-    gather; q = 1 gathers B as it is.
+    Class r's midpoints lie -delta_r = -remainder(tau, n) r steps off its
+    row; each class of B is shifted spectrally in place by the fraction of
+    that offset, with length-n FFTs along x, and the whole steps are left
+    to the final gather.  At integer tau B is gathered as it is.
     """
     axis = a.xaxis
     d, n = axis.d, axis.n
-    p, q = _tau_fraction(tv, n)
     xi_axes = tuple(range(d, 2 * d))
     B = np.fft.ifftn(np.fft.ifftshift(a.values, axes=xi_axes), axes=xi_axes)
     B /= axis.dx**d
-    # per class: the whole steps and the residue of -p r / q
-    whole, res = np.divmod(-p * ((np.arange(n) + n // 2) % n - n // 2), q)
-    if q > 1:
-        # interpolating shift by c/q steps in DFT order; the unpaired
-        # most-negative bin, split evenly between -n/2 and n/2, takes cos(pi c/q)
-        k = np.fft.fftfreq(n, 1.0 / n)
-        spectra = np.exp(2j * math.pi / (q * n) * np.outer(k, np.arange(q)))
-        spectra[n // 2] = np.cos(math.pi / q * np.arange(q))
-        # spectra[:, res] is ~5x slower than np.take for n x n filters
-        _filter_classes(B, np.take(spectra, res, axis=1))
+    whole, frac = _class_offsets(-tv, n)
+    _shift_classes(B, frac, _interpolating_shift)
     idx = _class_index(n, d, whole, np.array(B.strides) // B.itemsize)
     return KernelMatrix(axis, np.take(B, idx))
 
 
+def _interpolating_shift(fracs: np.ndarray, n: int) -> np.ndarray:
+    """Trigonometric interpolation shifted forward by each of ``fracs``
+    steps, in DFT order; the unpaired most-negative bin, split evenly
+    between -n/2 and n/2, takes cos(pi f)."""
+    H = np.exp(2j * math.pi / n * np.outer(np.fft.fftfreq(n, 1.0 / n), fracs))
+    H[n // 2] = np.cos(math.pi * fracs)
+    return H
+
+
 _STENCIL = np.arange(-7, 9)  # 16-point centered Lagrange stencil
-_STENCIL_BLOCK = 1 << 14  # entries per stencil pass, so a block stays in cache
 
 
 def _lagrange_weights(fracs: np.ndarray) -> np.ndarray:
@@ -322,51 +329,36 @@ def _lagrange_weights(fracs: np.ndarray) -> np.ndarray:
     return w
 
 
+def _stencil_transfer(fracs: np.ndarray, n: int) -> np.ndarray:
+    """The periodic stencil out[j] = sum_s w_s(f) g[j + s] as a filter:
+    sum_s w_s(f) e^{2 pi i k s / n} for each of ``fracs``, in DFT order."""
+    ks = np.outer(np.arange(n), _STENCIL) % n
+    return np.exp(2j * math.pi / n * ks) @ _lagrange_weights(fracs)
+
+
 def symbol_from_kernel(K: KernelMatrix, tau: float) -> PhaseFunctionGrid:
     """a(x, xi) = F_{t -> xi} K(x + tau t, x - (1-tau) t), the inverse of
     ``kernel_from_symbol``.
 
     Entries with a common difference r = t - s sample the midpoint slot on
-    a lattice offset by tau r grid steps.  One flat scatter puts each entry
-    into its class of the (row, class) table, slid back by the class's
-    whole steps (``_class_index`` with those steps negated); a 16-point
-    Lagrange stencil (nodes -7..8: 16 multiply-adds of row slices, weights
-    computed once per distinct fraction) shifts the classes left a fraction
-    of a step off the grid; then the class axes are transformed.  Accuracy needs
-    only a symbol smooth on the grid scale (exact for polynomial midpoint
-    dependence up to degree 15).
+    a lattice offset by delta_r = remainder(tau, n) r grid steps.  One flat
+    scatter puts each entry into its class of the (row, class) table, slid
+    back by the class's whole steps (``_class_index`` with those steps
+    negated); the transfer function of a 16-point Lagrange stencil (nodes
+    -7..8), one per distinct fraction, shifts the classes left a fraction
+    of a step off the grid; then the class axes are transformed.  Accuracy
+    needs only a symbol smooth on the grid scale (exact for polynomial
+    midpoint dependence up to degree 15).
     """
     if not isinstance(K, KernelMatrix):
         raise UwqError(f"expected a KernelMatrix, got {type(K).__name__}")
     axis = K.axis
     d, n = axis.d, axis.n
-    p, q = _tau_fraction(_finite_tau(tau), n)
-    # per class: the offset p r / q of its midpoints, in whole steps and a
-    # fraction; B[j, c] = K[j + whole_c, j + whole_c - r_c] per axis
-    delta = p * ((np.arange(n) + n // 2) % n - n // 2) / q
-    whole = np.floor(delta)
-    frac = delta - whole
+    # B[j, c] = K[j + whole_c, j + whole_c - r_c] per axis
+    whole, frac = _class_offsets(_finite_tau(tau), n)
     B = np.empty((n,) * (2 * d), dtype=complex)
-    np.put(B, _class_index(n, d, -whole.astype(np.intp), np.array(B.strides) // B.itemsize),
-           K.entries)
-    cols = np.flatnonzero(frac)
-    if cols.size:
-        fracs, which = np.unique(frac[cols], return_inverse=True)
-        W = _lagrange_weights(fracs)[:, which]
-        ext = (np.arange(n + _STENCIL.size - 1) + _STENCIL[0]) % n
-        for i in range(d):
-            # the fractional classes, slide axis i first, extended
-            # periodically by 7 rows before and 8 after
-            E = np.take(np.moveaxis(np.take(B, cols, axis=d + i), i, 0), ext, axis=0)
-            w = W.reshape((_STENCIL.size, -1) + (1,) * (d - 1 - i))
-            out = np.zeros((n,) + E.shape[1:], dtype=complex)
-            b = min(n, max(1, _STENCIL_BLOCK * n // out.size))
-            for j in range(0, n, b):
-                for t in range(_STENCIL.size):
-                    out[j : j + b] += w[t] * E[j + t : j + t + min(b, n - j)]
-            del E
-            B[(slice(None),) * (d + i) + (cols,)] = np.moveaxis(out, 0, i)
-            del out
+    np.put(B, _class_index(n, d, -whole, np.array(B.strides) // B.itemsize), K.entries)
+    _shift_classes(B, frac, _stencil_transfer)
     # a(x, xi) = dr^d sum_r e^{-i r xi} B(x, r), the last class axis first
     # as in np.fft.fftn
     for i in reversed(range(d, 2 * d)):

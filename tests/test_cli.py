@@ -154,6 +154,10 @@ def test_grid_symbol_quantize_and_inverse_stft(files):
     a = load_phase(f("symbol.csv"))
     assert np.array_equal(read_operator(f("opg.csv"), 8),
                           operator_matrix(kernel_from_symbol(a, 0.0)).entries)
+    # any finite tau, not only a rational one
+    assert run(["quantize", "--symbol", f("grid.toml"), "--tau", 0.123, "--out", f("opt.csv")]) == 0
+    assert np.array_equal(read_operator(f("opt.csv"), 8),
+                          operator_matrix(kernel_from_symbol(a, 0.123)).entries)
     assert run(["stft", "--in", f("u.csv"), "--out", f("V.csv")]) == 0
     assert run(["stft", "--inverse", "--in", f("V.csv"), "--out", f("u2.csv")]) == 0
     u, back = load_function(f("u.csv")), load_function(f("u2.csv"))
@@ -451,8 +455,14 @@ def test_weights_check_prints_lattice_H_exactly(files, s, H):
 
 
 def test_overflow_exits_2(capsys):
+    # the last four ask for arrays that numpy cannot size or no allocator
+    # grants (71 PiB, 728 TiB), so none is allocated
     for argv in (["laplace", "--density", "indicator:-1:1", "--zeta=-1000:0"],
-                 ["gaussconv", "--density", "indicator:-1:1", "--s", 1, "--x", "30:30:1"]):
+                 ["gaussconv", "--density", "indicator:-1:1", "--s", 1, "--x", "30:30:1"],
+                 ["gaussconv", "--density", "indicator:-1:1", "--s", -1, "--x", "0:1:1e-16"],
+                 ["gaussconv", "--density", "indicator:-1:1", "--s", -1, "--x", "0:1e308:1"],
+                 ["weights", "--gevrey", 2, "--truncation", 10**14],
+                 ["weights", "--gevrey", 2, "--truncation", 10**19]):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -224,12 +224,12 @@ def fractional_shift(values, delta_steps, ax):
 
 def per_class_symbol(K, tau):
     """Reference symbol_from_kernel: a 2-d fancy gather of every difference
-    class, then per axis and per class a roll and a stencil of 16 more
-    rolls, then the shifted FFT of the class axes."""
+    class, then per axis and per class r a roll and a stencil of 16 more
+    rolls by delta = remainder(tau, n) r steps, then the shifted FFT of the
+    class axes."""
     axis = K.axis
     d, n = axis.d, axis.n
-    frac = Fraction(tau).limit_denominator(64)
-    p, q = frac.numerator, frac.denominator
+    rem = math.remainder(tau, n)
     Kv = K.entries.reshape(axis.shape * 2)
     J = np.indices(axis.shape * 2)
     rows = [J[i] % n for i in range(d)]
@@ -239,7 +239,7 @@ def per_class_symbol(K, tau):
         for k in range(n):
             sl = [slice(None)] * (2 * d)
             sl[d + i] = k
-            B[tuple(sl)] = fractional_shift(B[tuple(sl)], p * (k - n // 2) / q, i)
+            B[tuple(sl)] = fractional_shift(B[tuple(sl)], rem * (k - n // 2), i)
     return axis.dx**d * shifted(np.fft.fftn, B, tuple(range(d, 2 * d)))
 
 
@@ -293,15 +293,15 @@ class TestSampleSymbol:
 
     def test_peak_memory(self):
         # the terms are summed in the result array (16 MiB at d=2, n=32);
-        # a monomial in all 2d coordinates is one more array of its size
+        # a monomial in all 2d coordinates is added one slab at a time
         ax = AxisGrid(32, 6.0, 2)
         size = 16 * ax.size**2
         partial = PolySymbol(2, {((1, 0), (0, 2)): 1.5j, ((0, 2), (1, 0)): -0.5,
                                  ((1, 1), (1, 0)): 0.25, ((0, 0), (0, 0)): 2.0})
         full = PolySymbol(2, {((1, 1), (1, 1)): 1.0, ((2, 0), (0, 0)): 1j})
-        for a, bound in ((partial, 1.1), (full, 2.1)):
+        for a in (partial, full):
             sample_symbol(a, ax)
-            assert traced_peak_bytes(lambda: sample_symbol(a, ax)) <= bound * size
+            assert traced_peak_bytes(lambda: sample_symbol(a, ax)) <= 1.1 * size
 
 
 class TestKernel:
@@ -449,7 +449,7 @@ class TestTorusWeyl:
         rhs = np.sum(np.abs(a.values) ** 2) / a.xaxis.size
         return abs(lhs - rhs) / rhs
 
-    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0, 0.123, 1 / math.pi, 0.5 + 1e-9])
     def test_moyal_1d(self, axis, tau):
         for f in (lambda x, k: np.exp(-x**2 - k**2),
                   lambda x, k: np.exp(-(x - 1.5) ** 2 - (k + 2.0) ** 2),
@@ -457,7 +457,7 @@ class TestTorusWeyl:
             a = PhaseFunctionGrid.from_callable(axis, f)
             assert self.moyal_defect(a, tau) < 1e-12
 
-    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 1.0, 0.123, 1 / math.pi, 0.5 + 1e-9])
     def test_moyal_2d(self, tau):
         ax2 = AxisGrid(32, 6.0, 2)
         for f in (lambda x, y, k, l: np.exp(-x**2 - y**2 - k**2 - l**2),
@@ -512,13 +512,24 @@ class TestWeyl:
 
 class TestSymbolFromKernel:
     @pytest.mark.parametrize("n, d", [(2, 1), (4, 1), (64, 1), (512, 1), (4, 2), (8, 2), (16, 2)])
-    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.25, 1 / 3, 0.3, 1 / 64, -0.5, 1.5])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 0.25, 1 / 3, 0.3, 1 / 64, -0.5, 1.5,
+                                     0.123, 1 / math.pi, 0.5 + 1e-9])
     def test_matches_per_class(self, n, d, tau):
-        # gathers copy exactly, and the same 16 products are summed in the
-        # same order before the same per-axis FFTs: bitwise the reference
+        # gathers copy exactly, so integer tau is bitwise the reference.
+        # Otherwise both apply one periodic 16-tap stencil per axis, with
+        # entry errors up to 16 eps Lambda max|B| for the reference's sum
+        # and (2 log2 n + 1) eps Lambda max|B| for the code's FFT, transfer
+        # function and inverse FFT; Lambda = max_f sum_s |w_s(f)| = 1.72 < 2
+        # is the stencil's Lebesgue constant.  The d axes add, and the
+        # class-axis FFT maps both alike
         ax = AxisGrid(n, 3.0, d)
         K = KernelMatrix(ax, random_symbol(ax, 33).values.reshape(ax.size, ax.size))
-        assert np.array_equal(symbol_from_kernel(K, tau).values, per_class_symbol(K, tau))
+        got, ref = symbol_from_kernel(K, tau).values, per_class_symbol(K, tau)
+        if tau in (0.0, 1.0):
+            assert np.array_equal(got, ref)
+        else:
+            bound = 2 * d * (2 * math.log2(n) + 17) * np.finfo(float).eps
+            assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n, d", [(512, 1), (16, 2)])
     def test_peak_memory(self, n, d):
@@ -546,7 +557,8 @@ class TestSymbolFromKernel:
         err = np.abs(rec.values - exact)[inner_idx, 1:]
         assert np.max(err) < 1e-9
 
-    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0, -0.5, 1 / 3, 1.5])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0, -0.5, 1 / 3, 1.5,
+                                     0.123, 1 / math.pi, 0.5 + 1e-9])
     def test_localized_symbol_round_trip(self, axis, tau):
         a = localized_symbol(axis, 31, xw=1.8, kw=4.5)
         K = kernel_from_symbol(a, tau)
